@@ -5,11 +5,15 @@
   module is wrapped there too, and can carry a different span name there.
   Spans (name, start, end, parent) are kept in flat arrays in memory and
   written out at exit. A span's self time is its duration minus the part
-  of it that its child spans cover.
+  of it that its child spans cover. ``Tracer.aggregate`` also reports the
+  spans whose accounting cannot be right: a child that reaches outside its
+  parent, and a negative self time.
 * ``GcWatch`` accounts collections and pause time through ``gc.callbacks``.
   GC stays enabled at the interpreter's default thresholds.
 * ``memory_by_module`` attributes the bytes that ``tracemalloc`` still
   traces to the treedoc module that allocated them.
+* ``kernel_s`` times a fixed piece of Python work that shares no code with
+  treedoc, to follow the host's speed during a timed repetition.
 
 Which end-to-end metric each layer should move, and on which workload (a
 change to a layer that moves none of these does not show end to end):
@@ -45,7 +49,9 @@ clock = time.perf_counter
 # Span name -> the attributes that carry it, as "module:qualified.name".
 # A generator (walk, iter_nodes) gets one span from its first item to its
 # end; its self time counts only the time spent inside the generator, so the
-# consumer's loop body between items stays with the consumer.
+# consumer's loop body between items stays with the consumer. Each stretch
+# inside the generator is covered time of the span that resumed it, which
+# need not be the span that started it.
 SPANS: dict[str, tuple[str, ...]] = {
     "tid.encoded_size": ("treedoc.tid:TID.encoded_size",),
     "tid.encode": ("treedoc.tid:TID.encode",),
@@ -147,6 +153,7 @@ class Tracer:
         self.start = array("d")
         self.end = array("d")
         self.busy = array("d")  # time inside a generator span; -1 otherwise
+        self.cover = array("d")  # time of generator stretches this span resumed
         self.stack: list[int] = [-1]
         self.counters = dict.fromkeys(COUNTERS, 0)
         self._root = -1
@@ -162,6 +169,7 @@ class Tracer:
         self.parent.append(self.stack[-1])
         self.end.append(0.0)
         self.busy.append(busy)
+        self.cover.append(0.0)
         self.start.append(clock())
         return idx
 
@@ -171,6 +179,7 @@ class Tracer:
         start_append = self.start.append
         end_append = self.end.append
         busy_append = self.busy.append
+        cover_append = self.cover.append
         ends = self.end
         stack = self.stack
         push = stack.append
@@ -182,6 +191,7 @@ class Tracer:
             parent_append(stack[-1])
             end_append(0.0)
             busy_append(-1.0)
+            cover_append(0.0)
             push(idx)
             start_append(clock())
             try:
@@ -198,6 +208,7 @@ class Tracer:
     def _wrap_gen(self, fn, nid: int):
         tracer = self
         stack = self.stack
+        cover = self.cover
 
         def wrapper(*args, **kwargs):
             it = fn(*args, **kwargs)
@@ -205,6 +216,7 @@ class Tracer:
             busy = 0.0
             try:
                 while True:
+                    resumer = stack[-1]
                     stack.append(idx)
                     resumed = clock()
                     try:
@@ -212,8 +224,11 @@ class Tracer:
                     except StopIteration:
                         return
                     finally:
-                        busy += clock() - resumed
+                        stretch = clock() - resumed
+                        busy += stretch
                         stack.pop()
+                        if resumer >= 0:
+                            cover[resumer] += stretch
                     yield item
             finally:
                 tracer.busy[idx] = busy
@@ -270,6 +285,7 @@ class Tracer:
         self.name_of.append(self._gc_id)
         self.parent.append(self.stack[-1])
         self.busy.append(-1.0)
+        self.cover.append(0.0)
         self.start.append(started)
         self.end.append(ended)
 
@@ -283,37 +299,46 @@ class Tracer:
         self._last = len(self.end)
         return self.end[self._root] - self.start[self._root]
 
-    def aggregate(self) -> tuple[dict[str, dict[str, float]], float]:
+    def aggregate(self) -> tuple[dict[str, dict[str, float]], dict[str, int]]:
         """Calls and self seconds per span name, over the root's spans.
 
-        Returns the table and the sum of all self times, which equals the
-        root's duration when every child span lies inside its parent.
+        Also counts the spans that break the accounting: ``clipped``, a
+        child span that starts before or ends after its parent (for a
+        generator, one that is unfinished or ran past the root), and
+        ``negative``, a span whose children cover more than its duration.
+        When both are 0 the self times add up to the root's duration, and
+        the root's own self time is the time no layer accounts for.
         """
         first, last = self._root, self._last
         start, end, parent, name_of = self.start, self.end, self.parent, self.name_of
         busy = self.busy
-        covered = [0.0] * (last - first)
+        covered = list(self.cover[first:last])
+        clipped = 0
         for i in range(first + 1, last):
-            p = parent[i]
-            if p < first:
-                continue
             if busy[i] >= 0.0:
-                covered[p - first] += busy[i]
+                # A generator: its resumers hold its time in cover. It must
+                # have finished, and within the root.
+                if end[i] < start[i] or end[i] > end[first]:
+                    clipped += 1
                 continue
-            lo = start[i] if start[i] > start[p] else start[p]
-            hi = end[i] if end[i] < end[p] else end[p]
-            if hi > lo:
-                covered[p - first] += hi - lo
+            p = parent[i]
+            if p < first:  # started under a generator that began before the root
+                clipped += 1
+                continue
+            if start[i] < start[p] or end[i] > end[p]:
+                clipped += 1
+            covered[p - first] += end[i] - start[i]
         table = {name: {"calls": 0, "self_s": 0.0} for name in self.names}
-        total = 0.0
+        negative = 0
         for i in range(first, last):
             span = busy[i] if busy[i] >= 0.0 else end[i] - start[i]
             own = span - covered[i - first]
+            if own < -1e-9:
+                negative += 1
             row = table[self.names[name_of[i]]]
             row["calls"] += 1
             row["self_s"] += own
-            total += own
-        return table, total
+        return table, {"clipped": clipped, "negative": negative}
 
     def dump(self, path: Path) -> None:
         """Write the root's spans: a JSON header line, then raw columns."""
@@ -321,13 +346,16 @@ class Tracer:
         header = {
             "names": self.names,
             "count": last - first,
-            "columns": ["name:i4", "parent:i4", "start:f8", "end:f8", "busy:f8"],
+            "columns": ["name:i4", "parent:i4", "start:f8", "end:f8", "busy:f8", "cover:f8"],
             "clock": "time.perf_counter seconds",
             "busy": "seconds inside a generator span, -1 for other spans",
+            "cover": "seconds inside generator spans that this span resumed",
         }
         with open(path, "wb") as fh:
             fh.write(json.dumps(header).encode() + b"\n")
-            for column in (self.name_of, self.parent, self.start, self.end, self.busy):
+            for column in (
+                self.name_of, self.parent, self.start, self.end, self.busy, self.cover
+            ):
                 column[first:last].tofile(fh)
 
 
@@ -360,6 +388,66 @@ class GcWatch:
             "gc.collections.gen1": self.collections[1],
             "gc.collections.gen2": self.collections[2],
         }
+
+
+class _KernelNode:
+    __slots__ = ("key", "left", "right", "size", "atom")
+
+    def __init__(self, key: int, atom: bytes) -> None:
+        self.key = key
+        self.left = None
+        self.right = None
+        self.size = 1
+        self.atom = atom
+
+
+def _kernel_atoms(node):
+    stack = []
+    while stack or node is not None:
+        while node is not None:
+            stack.append(node)
+            node = node.left
+        node = stack.pop()
+        yield node.atom
+        node = node.right
+
+
+def kernel_s(nodes: int = 1200) -> float:
+    """Seconds to build, walk and drop a random binary tree of small objects.
+
+    The work resembles treedoc's (slotted nodes, size counters updated on
+    the way down, a generator walk, short ``bytes`` atoms) but shares no
+    code with it, so a change to treedoc never changes this time; only the
+    host's speed does. GC is off while it runs and every object it makes is
+    freed before it returns, so it leaves the collector's schedule as it was.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        started = clock()
+        x = 7
+        root = _KernelNode(1 << 30, b"r")
+        for i in range(nodes):
+            x = (x * 1103515245 + 12345) & 0x7FFFFFFF
+            node = root
+            while True:
+                node.size += 1
+                if x < node.key:
+                    if node.left is None:
+                        node.left = _KernelNode(x, b"%d;" % i)
+                        break
+                    node = node.left
+                else:
+                    if node.right is None:
+                        node.right = _KernelNode(x, b"%d;" % i)
+                        break
+                    node = node.right
+        b"".join(_kernel_atoms(root))
+        del root
+        return clock() - started
+    finally:
+        if enabled:
+            gc.enable()
 
 
 MEMORY_MODULES = ("tid", "core", "flatten", "protocol", "sim", "trace")

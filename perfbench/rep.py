@@ -6,25 +6,22 @@
 last line of its standard output. Modes:
 
 ``timed``   no instrumentation beyond the clock around each edit and pause,
-            plus the GC accounting hook
+            the GC accounting hook, and ``probes.kernel_s`` between laps
 ``traced``  spans around every entry point in ``probes.SPANS``; the root
-            span covers set-up and the timed region
+            span covers treedoc's set-up and the timed region
 ``memory``  untimed; ``tracemalloc`` traces the timed region and the bytes
             still held at its end are attributed to treedoc's modules
 """
 
 from __future__ import annotations
 
+import argparse
+import gc
+import json
+import sys
 import time
-
-_T0 = time.perf_counter()
-
-import argparse  # noqa: E402
-import gc  # noqa: E402
-import json  # noqa: E402
-import sys  # noqa: E402
-import tracemalloc  # noqa: E402
-from pathlib import Path  # noqa: E402
+import tracemalloc
+from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
@@ -41,22 +38,24 @@ def main() -> int:
     args = parser.parse_args()
 
     sys.path.insert(0, str(ROOT / "src"))
+    started = time.perf_counter()
     import treedoc
 
+    import_s = time.perf_counter() - started
     if Path(treedoc.__file__).resolve().parent != PACKAGE:
         raise SystemExit(f"imported treedoc from {treedoc.__file__}, not {PACKAGE}")
     import probes
     import workloads
 
     OUT.mkdir(exist_ok=True)
-    workload = workloads.make(args.workload, args.seed, OUT)
-    rec = workloads.Recorder()
+    workload = workloads.WORKLOADS[args.workload](args.seed, OUT)
+    rec = workloads.Recorder(calibrate=args.mode == "timed")
+    workload.generate(rec)
     tracer = None
     if args.mode == "traced":
         tracer = probes.Tracer()
         tracer.install()
     gcw = probes.GcWatch(tracer)
-    import_s = time.perf_counter() - _T0
 
     if tracer is not None:
         tracer.open_root()
@@ -87,9 +86,9 @@ def main() -> int:
     rec.counts["pauses"] = len(rec.pauses)
 
     if tracer is not None:
-        table, total = tracer.aggregate()
+        table, broken = tracer.aggregate()
         result["layers"] = table
-        result["self_sum_s"] = total
+        result["broken_spans"] = broken
         result["counters"] = tracer.counters
         tracer.dump(OUT / f"{args.workload}-seed{args.seed}.spans")
     result.update(
@@ -98,6 +97,7 @@ def main() -> int:
         setup_s=import_s + (t_ready - t_prepare),
         prepare_s=t_ready - t_prepare,
         run_s=t_end - t_run,
+        laps=rec.laps,
         ops=rec.ops,
         failures=rec.failures,
         counts=rec.counts,
@@ -107,6 +107,7 @@ def main() -> int:
     if args.mode == "timed":
         result["lat"] = rec.lat
         result["pauses"] = rec.pauses
+        result["kernel"] = rec.kernel
     print(json.dumps(result))
     return 0
 

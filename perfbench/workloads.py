@@ -4,12 +4,16 @@ Every workload drives treedoc's public API from one loop with no threads.
 The loop is closed: the next edit is issued only after the previous call has
 returned. A workload runs in three steps, which ``rep.py`` calls in order:
 
+``generate(rec)``
+    Untimed: make the inputs from the seed and install the benchmark's own
+    timing hooks. This is the harness's work, not treedoc's.
 ``prepare(rec)``
-    Set-up: generate the inputs from the seed and build the initial state.
-    Timed as ``setup_s``.
+    Set-up: treedoc's work to get ready, such as building the initial
+    state. Timed; ``setup_s`` is this plus the import of treedoc.
 ``execute(rec)``
     The timed region. Appends per-edit latencies to ``rec.lat`` and
-    restructuring pauses to ``rec.pauses``, and sets ``rec.ops``.
+    restructuring pauses to ``rec.pauses``, calls ``rec.lap()`` at its start,
+    its end and between equal units of work, and sets ``rec.ops``.
 ``verify(rec)``
     Untimed. Runs the oracle (each mismatch goes to ``rec.fail``) and fills
     ``rec.counts`` with the values that must repeat exactly for a seed.
@@ -27,6 +31,7 @@ import time
 from pathlib import Path
 from random import Random
 
+from probes import kernel_s
 from treedoc import protocol, sim, trace
 from treedoc.protocol import DeliverResult, Operation, OpKind, Role, Site
 from treedoc.tid import TID
@@ -37,18 +42,35 @@ DELETE_RATIO = 0.3
 
 
 class Recorder:
-    """What one repetition measured and checked."""
+    """What one repetition measured and checked.
 
-    def __init__(self) -> None:
+    With ``calibrate``, every ``lap()`` also times ``probes.kernel_s`` in the
+    gap between two units of work, so that the kernel samples the host's
+    speed all through the timed region without being part of any lap.
+    """
+
+    def __init__(self, calibrate: bool = False) -> None:
         self.ops = 0
         self.lat: list[float] = []  # seconds per local edit (Site.submit_local)
         self.pauses: list[float] = []  # seconds per restructuring pause
+        self.laps: list[float] = []  # seconds per unit of work, see lap()
+        self.kernel: list[float] = []  # kernel_s() readings between laps
+        self._calibrate = calibrate
+        self._lap_start: float | None = None
         self.failures: list[str] = []
         self.counts: dict[str, object] = {}  # must repeat exactly for a seed
         self.extras: dict[str, float] = {}  # reported, not gated
         self.sites: list[Site] = []  # every replica, for the memory pass
         self.tid_bytes: list[float] = []  # overhead samples, see sample()
         self.tomb_frac: list[float] = []
+
+    def lap(self) -> None:
+        now = clock()
+        if self._lap_start is not None:
+            self.laps.append(now - self._lap_start)
+        if self._calibrate:
+            self.kernel.append(kernel_s())
+        self._lap_start = clock()
 
     def fail(self, message: str) -> None:
         self.failures.append(message)
@@ -88,7 +110,32 @@ def _timed(fn, sink: list[float]):
     return wrapper
 
 
-class RandomEdit:
+class Workload:
+    """A seed, a directory for scratch files, and how ``run.py`` sizes a run.
+
+    ``REP_S`` is the nominal wall time of one repetition, interpreter start
+    to exit, on a shared 2-vCPU Xeon host at 2.1 GHz; ``run.py`` turns
+    ``--seconds`` into a number of input seeds with it, so the count never
+    depends on how fast the code under test runs. ``MIN_SEEDS`` is the
+    fewest seeds a run needs: for enough samples beyond the reported
+    percentiles, or for enough timed work.
+    """
+
+    MIN_SEEDS = 2
+    REP_S = 2.5
+
+    def __init__(self, seed: int, out_dir: Path):
+        self.seed = seed
+        self.out_dir = out_dir
+
+    def generate(self, rec: Recorder) -> None:
+        pass
+
+    def prepare(self, rec: Recorder) -> None:
+        pass
+
+
+class RandomEdit(Workload):
     """One core site, uniform-random positions, a flatten every 1000 ops.
 
     Pause: one ``initiate_flatten`` commit round. Oracle: every edit is
@@ -98,11 +145,11 @@ class RandomEdit:
     OPS = 25_000
     FLATTEN_EVERY = 1000
     SAMPLE_EVERY = 100
+    LAP_EVERY = 250
+    MIN_SEEDS = 4  # 25 pauses each; pause p90 needs 100
+    REP_S = 2.6
 
-    def __init__(self, seed: int):
-        self.seed = seed
-
-    def prepare(self, rec: Recorder) -> None:
+    def generate(self, rec: Recorder) -> None:
         rng = Random(f"random-edit:{self.seed}")
         script: list[tuple[int, bytes | None]] = []
         live = 0
@@ -114,6 +161,8 @@ class RandomEdit:
                 script.append((rng.randint(0, live), b"%d;" % i))
                 live += 1
         self.script = script
+
+    def prepare(self, rec: Recorder) -> None:
         self.site = Site(b"re", Role.CORE)
         rec.sites = [self.site]
 
@@ -121,6 +170,7 @@ class RandomEdit:
         site = self.site
         submit = site.submit_local
         lat = rec.lat
+        rec.lap()
         for i, (pos, atom) in enumerate(self.script, 1):
             if atom is None:
                 started = clock()
@@ -138,6 +188,8 @@ class RandomEdit:
                 rec.pauses.append(clock() - started)
                 if not outcome.committed:
                     rec.fail(f"flatten after op {i} aborted: {outcome.reason}")
+            if i % self.LAP_EVERY == 0:
+                rec.lap()
         rec.ops = len(self.script)
 
     def verify(self, rec: Recorder) -> None:
@@ -153,7 +205,7 @@ class RandomEdit:
         rec.finish_samples()
 
 
-class TypingReplay:
+class TypingReplay(Workload):
     """Typed revision histories, diffed at word granularity and replayed.
 
     A repetition holds ``DOCUMENTS`` independent documents. Words come from a
@@ -171,10 +223,10 @@ class TypingReplay:
     VOCAB = 3000
     SITES = 2
     FLATTEN_EVERY = 10  # revisions
-
-    def __init__(self, seed: int, out_dir: Path):
-        self.seed = seed
-        self.out_dir = out_dir
+    REP_S = 1.8
+    # A repetition times only about 0.6 s of replay; its set-up (the diff)
+    # takes longer. More seeds give a run more timed work.
+    MIN_SEEDS = 6
 
     def revisions(self, document: int) -> list[str]:
         rng = Random(f"typing-replay:{self.seed}:{document}")
@@ -212,14 +264,26 @@ class TypingReplay:
             revs.append("".join(doc))
         return revs
 
+    def generate(self, rec: Recorder) -> None:
+        self.histories = [self.revisions(document) for document in range(self.DOCUMENTS)]
+        self.finals = [revs[-1] for revs in self.histories]
+        # replay() builds its sites internally; keep them for the oracle.
+        self.sites: list[Site] = []
+        sites = self.sites
+
+        def site_factory(*args, **kwargs):
+            site = Site(*args, **kwargs)
+            sites.append(site)
+            return site
+
+        trace.Site = site_factory
+        Site._commit_flatten = _timed(Site._commit_flatten, rec.pauses)
+
     def prepare(self, rec: Recorder) -> None:
-        self.finals: list[str] = []
         self.traces = []
         self.round_trip_ok = True
         diff_s = 0.0
-        for document in range(self.DOCUMENTS):
-            revs = self.revisions(document)
-            self.finals.append(revs[-1])
+        for revs in self.histories:
             started = clock()
             events = trace.events_from_revisions(revs, trace.Granularity.WORD)
             diff_s += clock() - started
@@ -231,22 +295,16 @@ class TypingReplay:
                 path.unlink(missing_ok=True)
             self.round_trip_ok &= self.traces[-1] == events
         rec.extras["ingest_events_per_s"] = sum(map(len, self.traces)) / diff_s
-        # replay() builds its sites internally; keep them for the oracle.
-        sites = rec.sites
-
-        def site_factory(*args, **kwargs):
-            site = Site(*args, **kwargs)
-            sites.append(site)
-            return site
-
-        trace.Site = site_factory
-        Site._commit_flatten = _timed(Site._commit_flatten, rec.pauses)
+        rec.sites = self.sites
 
     def execute(self, rec: Recorder) -> None:
-        self.rows = [
-            trace.replay(events, flatten_interval=self.FLATTEN_EVERY, site_count=self.SITES)
-            for events in self.traces
-        ]
+        self.rows = []
+        rec.lap()
+        for events in self.traces:
+            self.rows.append(
+                trace.replay(events, flatten_interval=self.FLATTEN_EVERY, site_count=self.SITES)
+            )
+            rec.lap()
         rec.ops = sum(map(len, self.rows))
 
     def verify(self, rec: Recorder) -> None:
@@ -268,7 +326,7 @@ class TypingReplay:
         rec.finish_samples()
 
 
-class ClusterSim:
+class ClusterSim(Workload):
     """``sim`` with 4 core and 3 nebula sites under duplication and retries.
 
     Pause: one core member's flatten commit (``Site._commit_flatten``);
@@ -278,10 +336,11 @@ class ClusterSim:
     """
 
     OPS = 3000
+    LAP_EVERY = 100  # local edits
 
-    def __init__(self, seed: int):
+    def generate(self, rec: Recorder) -> None:
         self.config = sim.SimConfig(
-            seed=seed,
+            seed=self.seed,
             core_count=4,
             nebula_count=3,
             op_count=self.OPS,
@@ -290,13 +349,22 @@ class ClusterSim:
             drop_retry_prob=0.05,
             flatten_interval=200,
         )
-
-    def prepare(self, rec: Recorder) -> None:
         Site._commit_flatten = _timed(Site._commit_flatten, rec.pauses)
-        Site.submit_local = _timed(Site.submit_local, rec.lat)
+        submit = _timed(Site.submit_local, rec.lat)
+        calls = itertools.count()
+        every = self.LAP_EVERY
+
+        def submit_local(*args, **kwargs):
+            if next(calls) % every == 0:
+                rec.lap()
+            return submit(*args, **kwargs)
+
+        Site.submit_local = submit_local
 
     def execute(self, rec: Recorder) -> None:
+        rec.lap()
         self.result = sim.run(self.config)
+        rec.lap()
         rec.ops = self.config.op_count
         rec.sites = self.result.sites
 
@@ -326,7 +394,7 @@ class ClusterSim:
         rec.finish_samples()
 
 
-class NebulaRejoin:
+class NebulaRejoin(Workload):
     """One core and 3 nebula sites; the core flattens alone each round.
 
     A round: every site makes ``SYNCED`` edits that reach everyone (the core
@@ -348,19 +416,22 @@ class NebulaRejoin:
     SYNCED = 20
     LOCAL = 20
     NEBULAS = 3
+    # 36 pauses each, and pause p90 needs 100. More than that: edit p99 is
+    # set by which edits a GC collection lands in, which varies by input.
+    MIN_SEEDS = 7
 
-    def __init__(self, seed: int):
-        self.seed = seed
+    def generate(self, rec: Recorder) -> None:
+        self.rng = Random(f"nebula-rejoin:{self.seed}")
+        # Preload positions: the document holds i atoms before insert i.
+        self.preload = [self.rng.randint(0, i) for i in range(self.PRELOAD)]
 
     def prepare(self, rec: Recorder) -> None:
-        self.rng = Random(f"nebula-rejoin:{self.seed}")
         self.core = Site(b"core", Role.CORE)
         self.nebulas = [Site(b"neb%d" % i, Role.NEBULA) for i in range(self.NEBULAS)]
         rec.sites = [self.core, *self.nebulas]
         self.outcomes: dict[str, int] = {}
         self.emitted = 0
-        for i in range(self.PRELOAD):
-            pos = self.rng.randint(0, self.core.replica.live_count)
+        for i, pos in enumerate(self.preload):
             op = self.core.submit_local(OpKind.INSERT, position=pos, atom=b"p%d;" % i)
             self.core.outbox.clear()
             wire = self._wire(op)
@@ -442,6 +513,7 @@ class NebulaRejoin:
 
     def execute(self, rec: Recorder) -> None:
         core, nebulas = self.core, self.nebulas
+        rec.lap()
         for _ in range(self.ROUNDS):
             for _ in range(self.SYNCED):
                 wire = self._wire(self._edit(rec, core))
@@ -462,6 +534,7 @@ class NebulaRejoin:
                 for nb in nebulas:
                     local[nb.id].append(self._edit(rec, nb))
             self._epoch_change(rec, local)
+            rec.lap()
 
     def verify(self, rec: Recorder) -> None:
         text = self.core.replica.text()
@@ -478,16 +551,9 @@ class NebulaRejoin:
         rec.finish_samples()
 
 
-def make(name: str, seed: int, out_dir: Path):
-    if name == "random-edit":
-        return RandomEdit(seed)
-    if name == "typing-replay":
-        return TypingReplay(seed, out_dir)
-    if name == "cluster-sim":
-        return ClusterSim(seed)
-    if name == "nebula-rejoin":
-        return NebulaRejoin(seed)
-    raise ValueError(f"unknown workload {name!r}")
-
-
-NAMES = ("random-edit", "typing-replay", "cluster-sim", "nebula-rejoin")
+WORKLOADS = {
+    "random-edit": RandomEdit,
+    "typing-replay": TypingReplay,
+    "cluster-sim": ClusterSim,
+    "nebula-rejoin": NebulaRejoin,
+}
