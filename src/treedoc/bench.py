@@ -7,6 +7,7 @@ import time
 from dataclasses import dataclass
 from random import Random
 
+from .errors import InvariantViolation
 from .protocol import OpKind, Role, Site, initiate_flatten
 
 
@@ -85,7 +86,10 @@ def run_bench(
                 f_start = time.perf_counter()
                 outcome = initiate_flatten(site, [site])
                 f_elapsed = time.perf_counter() - f_start
-                assert outcome.committed
+                if not outcome.committed:
+                    raise InvariantViolation(
+                        f"single-site flatten after op {i} aborted: {outcome.reason}"
+                    )
                 flattens += 1
                 if f_elapsed > max_flatten:
                     max_flatten = f_elapsed

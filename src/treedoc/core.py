@@ -22,6 +22,7 @@ from typing import Iterator, Optional
 
 from .errors import (
     IndexOutOfRange,
+    InvariantViolation,
     MalformedTID,
     MissingAncestor,
     MissingTarget,
@@ -33,7 +34,7 @@ from .tid import (
     Disambiguator,
     PathElement,
     TID,
-    _varint_len,
+    header_cost,
     selector_cost,
 )
 
@@ -203,18 +204,22 @@ class Treedoc:
                 chain_majors.append(major)
             direction, dis = tid.path[-1]
             major = mini.child(direction)
-            if major is None:
-                major = MajorNode()
-                mini.set_child(direction, major)
             chain_majors.append(major)
             target_dis = dis
         else:
             target_dis = tid.root_disambiguator
-        existing = major.find(target_dis)
-        if existing is not None:
+        if major is None:
+            # A fresh child slot: an exact-size list, since flatten may reuse
+            # this major node for the lifetime of the document.
+            node = MiniNode(target_dis, atom)
+            major = MajorNode([node])
+            mini.set_child(direction, major)
+            chain_majors[-1] = major
+        elif major.find(target_dis) is not None:
             return EffectReport.ALREADY_PRESENT
-        node = MiniNode(target_dis, atom)
-        major.add(node)
+        else:
+            node = MiniNode(target_dis, atom)
+            major.add(node)
         for m in chain_minis:
             m.live_size += 1
         for mj in chain_majors:
@@ -347,7 +352,7 @@ class Treedoc:
                     break
                 k -= right_size
             if not descended:
-                raise AssertionError("live_size bookkeeping out of sync")
+                raise InvariantViolation("live_size bookkeeping out of sync")
 
     # -- traversal --------------------------------------------------------
 
@@ -414,49 +419,62 @@ class Treedoc:
             frame[1] += 1
             frame[2] = 0
 
-    def live_entries(self) -> list[tuple[bytes, Disambiguator]]:
-        """(atom, disambiguator) pairs of the live atoms, in document order.
+    def live_nodes(self) -> tuple[list[MiniNode], list[Optional[MajorNode]]]:
+        """The live mini-nodes in document order, with their major nodes.
 
-        Dedicated tight loop: this is the flatten hot path. The common case
-        (single-mini major, no children) takes the short branch.
+        ``owners[i]`` is the major node holding ``minis[i]`` when it holds
+        nothing else, otherwise None. One pass over the tree; this is the
+        collect step of flatten, so the common case (a single-mini major
+        node) takes the short branch and allocates nothing.
         """
-        out: list[tuple[bytes, Disambiguator]] = []
+        minis: list[MiniNode] = []
+        owners: list[Optional[MajorNode]] = []
         if not self.root.minis:
-            return out
-        append = out.append
-        stack: list[list] = [[self.root.minis, 0, 0]]
+            return minis, owners
+        add_mini = minis.append
+        add_owner = owners.append
+        # Work left to do on the way back up: a single-mini MajorNode or a
+        # MiniNode is ready to emit (its left subtree is done); a
+        # (major, index) pair is a later mini of a shared major node, whose
+        # left subtree is still to walk.
+        stack: list = []
         push = stack.append
         pop = stack.pop
-        while stack:
-            frame = stack[-1]
-            minis, idx, stage = frame
-            if idx >= len(minis):
-                pop()
-                continue
-            mini = minis[idx]
-            if stage == 0:
-                left = mini.left
-                if left is not None:
-                    frame[2] = 1
-                    push([left.minis, 0, 0])
-                    continue
-                stage = 1
-            if stage == 1:
+        major: Optional[MajorNode] = self.root
+        while True:
+            while major is not None:
+                ms = major.minis
+                if len(ms) == 1:
+                    push(major)
+                else:
+                    for i in range(len(ms) - 1, 0, -1):
+                        push((major, i))
+                    push(ms[0])
+                major = ms[0].left
+            if not stack:
+                return minis, owners
+            item = pop()
+            cls = item.__class__
+            if cls is MajorNode:
+                mini = item.minis[0]
                 if not mini.tombstone:
-                    append((mini.atom, mini.disambiguator))
-                right = mini.right
-                if right is not None:
-                    frame[1] = idx + 1
-                    frame[2] = 0
-                    push([right.minis, 0, 0])
-                    continue
-            frame[1] = idx + 1
-            frame[2] = 0
-        return out
+                    add_mini(mini)
+                    add_owner(item)
+                major = mini.right
+            elif cls is MiniNode:
+                if not item.tombstone:
+                    add_mini(item)
+                    add_owner(None)
+                major = item.right
+            else:
+                shared, i = item
+                mini = shared.minis[i]
+                push(mini)
+                major = mini.left
 
     def atoms(self) -> list[bytes]:
         """Live atoms in document order."""
-        return [atom for atom, _ in self.live_entries()]
+        return [mini.atom for mini in self.live_nodes()[0]]
 
     def text(self) -> str:
         """The document as UTF-8 text."""
@@ -477,8 +495,7 @@ class Treedoc:
                 live += 1
             if depth > max_depth:
                 max_depth = depth
-            pairs = depth + 1
-            total_bytes += _varint_len(pairs) + (pairs + 7) // 8 + dis_cost
+            total_bytes += header_cost(depth + 1) + dis_cost
         count = live + tombs
         mean = total_bytes / count if count else 0.0
         return DocStats(live, tombs, max_depth, mean)
@@ -523,8 +540,7 @@ class Treedoc:
                 tombs += 1
             else:
                 live += 1
-            pairs = depth + 1
-            total_bytes += _varint_len(pairs) + (pairs + 7) // 8 + dis_cost
+            total_bytes += header_cost(depth + 1) + dis_cost
         self.live_count = live
         self.tombstone_count = tombs
         self.tid_bytes_total = total_bytes

@@ -39,7 +39,12 @@ class EpochMismatch(ProtocolError):
 
 
 class InvariantViolation(ProtocolError):
-    """Catch-up coloring produced an impossible combination."""
+    """An internal invariant broke: replicas or bookkeeping disagree.
+
+    Raised, for example, when catch-up coloring produces an impossible
+    combination, or when a flatten's document digest differs between the
+    members of a commit or from the announcement a nebula site catches up to.
+    """
 
 
 class NonConvergenceError(TreedocError):

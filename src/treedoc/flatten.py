@@ -1,19 +1,34 @@
 """Local restructuring: tree -> flat document -> canonical balanced tree.
 
 Flattening collects the live atoms in document order, rebuilds them as a
-deterministic balanced tree (midpoint recursion, the element at index
-``n // 2`` becomes each subtree root), bumps the epoch, and reports the
-old-TID to new-TID renaming for the surviving atoms. Tombstones are
+deterministic balanced tree (midpoint rule, the element at index
+``(lo + hi) // 2`` becomes each subtree root), bumps the epoch, and reports
+the old-TID to new-TID renaming for the surviving atoms. Tombstones are
 dropped: an old-epoch delete aimed at one of them translates to a no-op.
+
+There is one builder, ``build_balanced``, and two ways in:
+
+* ``flatten_for_commit`` (the commit path) consumes its replica: one walk
+  gathers the live mini-nodes, and the builder relinks those same nodes,
+  reusing each one's major node when it holds nothing else. The old tree
+  is unusable afterwards.
+* ``flatten_local`` and ``build_balanced`` over ``(atom, disambiguator)``
+  entries leave their input untouched: they relink fresh mini-nodes.
+
+The commit digest (``flat_digest``) is verified: the commit round compares
+every member's digest with the coordinator's, and a nebula site's catch-up
+compares its rebuilt cyan skeleton with the announced digest.
 """
 
 from __future__ import annotations
 
 import hashlib
+import struct
 from dataclasses import dataclass
+from typing import Optional, Sequence, Union
 
 from .core import MajorNode, MiniNode, Treedoc
-from .tid import Disambiguator, TID, _varint_len, selector_cost
+from .tid import Disambiguator, TID, header_cost, selector_cost
 
 Entry = tuple[bytes, Disambiguator]
 
@@ -24,60 +39,92 @@ class FlattenResult:
     mapping: dict[TID, TID]  # old live TID -> new TID, order-preserving
 
 
-def build_balanced(entries: list[Entry]) -> Treedoc:
-    """Balanced tree over ``entries`` (atom, disambiguator), in infix order.
+def build_balanced(
+    entries: Union[Sequence[Entry], list[MiniNode]],
+    owners: Optional[list[Optional[MajorNode]]] = None,
+) -> Treedoc:
+    """Balanced tree over ``entries``, in infix order; depth floor(log2(n)).
 
-    Every node is a single-mini major node that keeps the original atom's
+    ``entries`` are either (atom, disambiguator) pairs, which get fresh
+    mini-nodes, or mini-nodes, which are relinked in place: their children
+    and live sizes are overwritten. ``owners[i]``, when given and not None,
+    is a major node holding only ``entries[i]``; it is reused. Every other
+    mini-node gets a major node of its own. Each node keeps its original
     disambiguator, so provenance and uniqueness arguments survive the
-    rebuild. Depth is floor(log2(n)).
+    rebuild.
     """
+    if entries and isinstance(entries[0], MiniNode):
+        minis = entries
+    else:
+        minis = [MiniNode(dis, atom) for atom, dis in entries]
+    n = len(minis)
     doc = Treedoc()
-    total = [0]
-    major = _build_major(entries, 0, len(entries), 1, 0, total)
-    if major is not None:
-        doc.root = major
-    doc.live_count = len(entries)
-    doc.tid_bytes_total = total[0]
+    doc.live_count = n
+    if n == 0:
+        return doc
+    if owners is None:
+        owners = [None] * n
+    majors = [
+        major if major is not None else MajorNode([mini])
+        for mini, major in zip(minis, owners)
+    ]
+    costs: dict[Disambiguator, int] = {}
+    total = 0
+    doc.root = majors[n // 2]
+    # One tree level at a time: ``level`` holds the (lo, hi) bounds of its
+    # subtrees, flattened, and the root of each is minis[(lo + hi) // 2].
+    # TID bytes: every node of a level has the same header, and each node's
+    # selector cost counts once per node of its subtree (all carry it).
+    level = [0, n]
+    pairs = 1
+    while level:
+        header = header_cost(pairs)
+        below: list[int] = []
+        add = below.append
+        bounds = iter(level)
+        for lo, hi in zip(bounds, bounds):
+            mid = (lo + hi) // 2
+            mini = minis[mid]
+            size = hi - lo
+            dis = mini.disambiguator
+            cost = costs.get(dis)
+            if cost is None:
+                cost = costs[dis] = selector_cost(dis)
+            total += header + cost * size
+            mini.live_size = size
+            majors[mid].live_size = size
+            if lo < mid:
+                mini.left = majors[(lo + mid) // 2]
+                add(lo)
+                add(mid)
+            else:
+                mini.left = None
+            if mid + 1 < hi:
+                mini.right = majors[(mid + 1 + hi) // 2]
+                add(mid + 1)
+                add(hi)
+            else:
+                mini.right = None
+        level = below
+        pairs += 1
+    doc.tid_bytes_total = total
     return doc
-
-
-def _build_major(
-    entries: list[Entry],
-    lo: int,
-    hi: int,
-    pairs: int,
-    base_cost: int,
-    total: list[int],
-) -> MajorNode | None:
-    if lo >= hi:
-        return None
-    mid = (lo + hi) // 2
-    atom, dis = entries[mid]
-    cost = base_cost + selector_cost(dis)
-    total[0] += _varint_len(pairs) + (pairs + 7) // 8 + cost
-    mini = MiniNode(dis, atom)
-    mini.left = _build_major(entries, lo, mid, pairs + 1, cost, total)
-    mini.right = _build_major(entries, mid + 1, hi, pairs + 1, cost, total)
-    mini.live_size = hi - lo
-    major = MajorNode([mini])
-    major.live_size = hi - lo
-    return major
 
 
 def flatten_local(doc: Treedoc) -> FlattenResult:
     """Flatten one replica and report the live-TID renaming.
 
-    Deterministic: structurally equal replicas produce structurally equal
-    results, which is what lets every core site flatten independently after
-    a commit without exchanging state.
+    ``doc`` is left as it was. Deterministic: structurally equal replicas
+    produce structurally equal results, which is what lets every core site
+    flatten independently after a commit without exchanging state.
     """
     old_tids: list[TID] = []
-    entries: list[Entry] = []
+    fresh: list[MiniNode] = []
     for tid, mini in doc.walk():
         if not mini.tombstone:
             old_tids.append(tid)
-            entries.append((mini.atom, mini.disambiguator))
-    new_doc = build_balanced(entries)
+            fresh.append(MiniNode(mini.disambiguator, mini.atom))
+    new_doc = build_balanced(fresh)
     new_doc.epoch = doc.epoch + 1
     new_tids = [tid for tid, _ in new_doc.walk()]
     return FlattenResult(new_doc, dict(zip(old_tids, new_tids)))
@@ -86,21 +133,27 @@ def flatten_local(doc: Treedoc) -> FlattenResult:
 def flatten_for_commit(doc: Treedoc) -> tuple[Treedoc, str]:
     """The flatten_local rebuild without the mapping, plus a state digest.
 
-    The digest is canonical for post-flatten replicas: the balanced shape
-    is a pure function of the entry list, so hashing (epoch, entries) pins
+    Consumes ``doc``: its live nodes are relinked into the result. The
+    digest is canonical for post-flatten replicas: the balanced shape is a
+    pure function of the live sequence, so hashing (epoch, sequence) pins
     the whole tree without a second traversal.
     """
-    entries = doc.live_entries()
-    new_doc = build_balanced(entries)
+    minis, owners = doc.live_nodes()
+    new_doc = build_balanced(minis, owners)
     new_doc.epoch = doc.epoch + 1
-    return new_doc, flat_digest(new_doc.epoch, entries)
+    return new_doc, flat_digest(new_doc.epoch, minis)
 
 
-def flat_digest(epoch: int, entries: list[Entry]) -> str:
-    buf = bytearray(f"flat:{epoch};".encode())
-    for atom, dis in entries:
-        buf += len(dis).to_bytes(2, "big")
-        buf += dis
-        buf += len(atom).to_bytes(4, "big")
-        buf += atom
-    return hashlib.sha256(bytes(buf)).hexdigest()
+def flat_digest(epoch: int, minis: Sequence[MiniNode]) -> str:
+    """Digest of the epoch and the (disambiguator, atom) sequence of ``minis``."""
+    n = len(minis)
+    diss = [mini.disambiguator for mini in minis]
+    atoms = [mini.atom for mini in minis]
+    h = hashlib.sha256(f"flat:{epoch};{n};".encode())
+    # Struct objects, not struct.pack: the module's format cache would keep
+    # a compiled format alive for every document length it has seen.
+    h.update(struct.Struct(f">{n}H").pack(*map(len, diss)))
+    h.update(b"".join(diss))
+    h.update(struct.Struct(f">{n}I").pack(*map(len, atoms)))
+    h.update(b"".join(atoms))
+    return h.hexdigest()

@@ -28,7 +28,7 @@ from typing import Callable, Iterable, Optional
 
 from .core import Color, EffectReport, MajorNode, MiniNode, Treedoc
 from .errors import EpochMismatch, InvariantViolation, ProtocolError
-from .flatten import build_balanced, flatten_for_commit
+from .flatten import build_balanced, flat_digest, flatten_for_commit
 from .tid import LEFT, RIGHT, Disambiguator, TID
 
 Identity = tuple[Disambiguator, int]
@@ -365,7 +365,12 @@ class Site:
         return Vote(self.id, VoteDecision.YES if ok else VoteDecision.NO)
 
     def _commit_flatten(self) -> str:
-        assert not self.outbox and not self.pending
+        """Flatten this member's replica (consumed) and return its digest."""
+        if self.outbox or self.pending:
+            raise InvariantViolation(
+                f"{self.id!r} commits a flatten with {len(self.outbox)} ops in"
+                f" its outbox and {len(self.pending)} pending"
+            )
         self.replica, digest = flatten_for_commit(self.replica)
         self.applied_inserts = {}
         self.applied_deletes = {}
@@ -500,8 +505,14 @@ class Site:
         old_del = self.applied_deletes
         cyans, groups, node_tids = self._collect_catch_up()
 
-        new_doc = build_balanced([(e.atom, e.dis) for e in cyans])
+        skeleton = [MiniNode(e.dis, e.atom) for e in cyans]
+        new_doc = build_balanced(skeleton)
         new_doc.epoch = new_epoch
+        if flat_digest(new_epoch, skeleton) != ann.doc_digest:
+            raise InvariantViolation(
+                f"cyan skeleton of {len(skeleton)} atoms does not match the"
+                f" digest the core announced for epoch {new_epoch}"
+            )
         new_infos = list(new_doc.walk())
 
         emissions: list[Operation] = []
@@ -611,7 +622,8 @@ def _gap_slot(
 
 
 def _attach_at(parent: MiniNode, direction: int, root: MiniNode) -> None:
-    assert parent.child(direction) is None
+    if parent.child(direction) is not None:
+        raise InvariantViolation(f"catch-up slot under {parent!r} is taken")
     parent.set_child(direction, MajorNode([root]))
 
 
@@ -661,11 +673,14 @@ def initiate_flatten(
         if vote.decision is VoteDecision.NO:
             return FlattenOutcome(False, reason=AbortReason.NO_VOTE)
     committed_ids = frozenset(coordinator.delivered_by_epoch.get(old_epoch, set()))
-    doc_digest = ""
-    for member in members:
-        digest = member._commit_flatten()
-        if member is coordinator:
-            doc_digest = digest
+    digests = {member.id: member._commit_flatten() for member in members}
+    doc_digest = digests[coordinator.id]
+    diverged = sorted(sid for sid, digest in digests.items() if digest != doc_digest)
+    if diverged:
+        raise InvariantViolation(
+            f"flatten to epoch {old_epoch + 1}: members {diverged!r} disagree"
+            f" with coordinator {coordinator.id!r} on the document"
+        )
     announcement = FlattenAnnouncement(
         old_epoch,
         old_epoch + 1,

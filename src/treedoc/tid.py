@@ -214,8 +214,7 @@ class TID:
         """len(self.encode()) without building the bytes."""
         if self.root_disambiguator is None:
             return 1  # varint 0
-        n = len(self.path) + 1
-        size = _varint_len(n) + (n + 7) // 8
+        size = header_cost(len(self.path) + 1)
         size += _varint_len(len(self.root_disambiguator)) + len(self.root_disambiguator)
         for _, dis in self.path:
             size += _varint_len(len(dis)) + len(dis)
@@ -265,6 +264,11 @@ def _varint_len(value: int) -> int:
         value >>= 7
         n += 1
     return n
+
+
+def header_cost(pairs: int) -> int:
+    """Encoded cost of a TID's pair count and direction bits."""
+    return _varint_len(pairs) + (pairs + 7) // 8
 
 
 def selector_cost(dis: Disambiguator) -> int:

@@ -1,0 +1,235 @@
+"""The relinking flatten against a reference rebuild.
+
+``reference_flatten`` is the straightforward builder: it copies the live
+(atom, disambiguator) sequence into fresh nodes by midpoint recursion and
+sums the TID bytes node by node. The commit path relinks the old tree's own
+nodes instead; both must give the same tree, digest and counters.
+"""
+
+import sys
+from random import Random
+
+import pytest
+
+from treedoc import TID, Treedoc, flatten_local
+from treedoc.core import MajorNode, MiniNode
+from treedoc.flatten import build_balanced, flat_digest, flatten_for_commit
+from treedoc.tid import LEFT, RIGHT, _varint_len, selector_cost
+
+from conftest import random_doc
+
+SITES = (b"A", b"B", b"C", b"long-site")
+
+
+def reference_flatten(doc: Treedoc) -> Treedoc:
+    entries = [
+        (mini.atom, mini.disambiguator)
+        for _, mini in doc.walk()
+        if not mini.tombstone
+    ]
+    out = Treedoc(doc.epoch + 1)
+    total = [0]
+    major = _build_major(entries, 0, len(entries), 1, 0, total)
+    if major is not None:
+        out.root = major
+    out.live_count = len(entries)
+    out.tid_bytes_total = total[0]
+    return out
+
+
+def _build_major(entries, lo, hi, pairs, base_cost, total):
+    if lo >= hi:
+        return None
+    mid = (lo + hi) // 2
+    atom, dis = entries[mid]
+    cost = base_cost + selector_cost(dis)
+    total[0] += _varint_len(pairs) + (pairs + 7) // 8 + cost
+    mini = MiniNode(dis, atom)
+    mini.left = _build_major(entries, lo, mid, pairs + 1, cost, total)
+    mini.right = _build_major(entries, mid + 1, hi, pairs + 1, cost, total)
+    mini.live_size = hi - lo
+    major = MajorNode([mini])
+    major.live_size = hi - lo
+    return major
+
+
+def multisite_doc(rng: Random, n_ops: int, delete_ratio: float = 0.3) -> Treedoc:
+    """Random inserts at free child slots from several sites, so that many
+    major nodes hold several mini-nodes (as concurrent inserts leave them)."""
+    doc = Treedoc()
+    tids = []
+    for _ in range(n_ops):
+        if tids and rng.random() < delete_ratio:
+            doc.delete(tids[rng.randrange(len(tids))])
+            continue
+        site = SITES[rng.randrange(len(SITES))]
+        if not tids or rng.random() < 0.05:
+            new = TID(site)
+        else:
+            new = tids[rng.randrange(len(tids))].child(rng.choice((LEFT, RIGHT)), site)
+        doc.insert(new, bytes([97 + rng.randrange(26)]) * rng.randint(1, 3))
+        tids.append(new)
+    return doc
+
+
+def deep_spine_doc(n: int) -> Treedoc:
+    doc = Treedoc()
+    cur = TID(b"A")
+    doc.insert(cur, b"x")
+    for i in range(n - 1):
+        cur = doc.alloc_tid_after(cur, b"A")
+        doc.insert(cur, b"%d" % i)
+    return doc
+
+
+def _sizes(doc: Treedoc) -> list:
+    """live_size of every major and mini node, in a fixed pre-order."""
+    out = []
+    stack = [doc.root]
+    while stack:
+        major = stack.pop()
+        out.append(("major", major.live_size, len(major.minis)))
+        for mini in major.minis:
+            out.append(("mini", mini.live_size))
+            for child in (mini.left, mini.right):
+                if child is not None:
+                    stack.append(child)
+    return out
+
+
+def _one_atom() -> Treedoc:
+    doc = Treedoc()
+    doc.insert(TID(b"A"), b"x")
+    return doc
+
+
+def _all_dead() -> Treedoc:
+    doc = random_doc(Random(4), 40, delete_ratio=0.0)
+    while doc.live_count:
+        doc.delete(doc.tid_of_live_index(0))
+    return doc
+
+
+def _random(seed: int) -> Treedoc:
+    rng = Random(seed)
+    return random_doc(rng, rng.randint(0, 200), delete_ratio=rng.random() * 0.6)
+
+
+def _multisite(seed: int) -> Treedoc:
+    rng = Random(seed)
+    return multisite_doc(rng, rng.randint(1, 250), delete_ratio=rng.random() * 0.5)
+
+
+# Each case builds its document afresh: the commit path consumes it.
+CASES = (
+    [("empty", Treedoc), ("one-atom", _one_atom), ("all-dead", _all_dead)]
+    + [("deep-spine", lambda: deep_spine_doc(1500))]
+    + [(f"random-{s}", lambda s=s: _random(s)) for s in range(20)]
+    + [(f"multisite-{s}", lambda s=s: _multisite(s)) for s in range(20)]
+)
+CASE_IDS = [name for name, _ in CASES]
+
+
+def test_multisite_docs_share_major_nodes():
+    doc = multisite_doc(Random(3), 200)
+    counts = []
+    stack = [doc.root]
+    while stack:
+        major = stack.pop()
+        counts.append(len(major.minis))
+        for mini in major.minis:
+            stack.extend(c for c in (mini.left, mini.right) if c is not None)
+    assert max(counts) >= 3
+
+
+@pytest.mark.parametrize("make", [make for _, make in CASES], ids=CASE_IDS)
+def test_commit_flatten_matches_reference(make):
+    doc = make()
+    expected = reference_flatten(doc)
+    text = doc.text()
+    new_doc, digest = flatten_for_commit(doc)  # consumes doc
+    assert new_doc.text() == text
+    assert new_doc.structurally_equal(expected)
+    assert new_doc.state_digest() == expected.state_digest()
+    assert new_doc.tid_bytes_total == expected.tid_bytes_total
+    assert new_doc.live_count == expected.live_count
+    assert new_doc.tombstone_count == 0
+    assert new_doc.counters_consistent()
+    assert _sizes(new_doc) == _sizes(expected)
+    fresh = [m for m, _, _, _ in expected.iter_nodes()]
+    assert digest == flat_digest(expected.epoch, fresh)
+
+
+def test_build_balanced_entries_match_reference():
+    rng = Random(12)
+    for _ in range(20):
+        doc = multisite_doc(rng, rng.randint(0, 120))
+        entries = [(m.atom, m.disambiguator) for _, m in doc.walk() if not m.tombstone]
+        built = build_balanced(entries)
+        built.epoch = doc.epoch + 1
+        expected = reference_flatten(doc)
+        assert built.structurally_equal(expected)
+        assert built.tid_bytes_total == expected.tid_bytes_total
+        assert _sizes(built) == _sizes(expected)
+
+
+def test_commit_flatten_reuses_single_mini_majors():
+    doc = random_doc(Random(5), 300, delete_ratio=0.2)
+    owners = {id(m): mj for m, mj in zip(*doc.live_nodes()) if mj is not None}
+    live = {id(m) for m in doc.live_nodes()[0]}
+    new_doc, _ = flatten_for_commit(doc)
+    stack = [new_doc.root]
+    reused = 0
+    while stack:
+        major = stack.pop()
+        (mini,) = major.minis
+        assert id(mini) in live  # the old node, relinked
+        if owners.get(id(mini)) is major:
+            reused += 1
+        stack.extend(c for c in (mini.left, mini.right) if c is not None)
+    assert reused == len(owners) > 0
+
+
+@pytest.mark.parametrize("make", [make for _, make in CASES], ids=CASE_IDS)
+def test_flatten_local_leaves_its_input_alone(make):
+    doc = make()
+    before = doc.state_digest()
+    sizes = _sizes(doc)
+    result = flatten_local(doc)
+    assert doc.state_digest() == before
+    assert _sizes(doc) == sizes
+    assert result.new_doc.structurally_equal(reference_flatten(doc))
+
+
+def test_build_balanced_leaves_entries_alone():
+    entries = [(b"x", b"A"), (b"y", b"B"), (b"z", b"C")]
+    snapshot = list(entries)
+    a = build_balanced(entries)
+    b = build_balanced(entries)
+    assert entries == snapshot
+    assert a.structurally_equal(b)
+    assert a.root.minis[0] is not b.root.minis[0]
+
+
+def test_live_nodes_orders_shared_majors():
+    doc = multisite_doc(Random(9), 150)
+    minis, owners = doc.live_nodes()
+    walked = [m for _, m in doc.walk() if not m.tombstone]
+    assert [id(m) for m in minis] == [id(m) for m in walked]
+    for mini, owner in zip(minis, owners):
+        if owner is not None:
+            assert owner.minis == [mini]
+    assert doc.atoms() == [m.atom for m in walked]
+
+
+def test_insert_gives_new_major_an_exact_list():
+    doc = Treedoc()
+    doc.insert(TID(b"A"), b"a")
+    child = TID(b"A").child(RIGHT, b"A")
+    doc.insert(child, b"b")
+    major = doc.root.minis[0].right
+    assert major.minis == [doc.find(child)]
+    assert sys.getsizeof(major.minis) == sys.getsizeof([None])
+    assert major.live_size == 1
+    assert doc.root.live_size == 2
+    assert doc.counters_consistent()
