@@ -9,7 +9,7 @@ epoch through the cyan/black catch-up translation. A deterministic
 simulator, a trace-replay harness, and a CLI sit on top.
 """
 
-from .core import Color, DocStats, EffectReport, MajorNode, MiniNode, Treedoc
+from .core import DocStats, EffectReport, MajorNode, MiniNode, Treedoc
 from .errors import (
     EpochMismatch,
     IndexOutOfRange,
@@ -64,7 +64,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AbortReason",
     "CatchUpBatch",
-    "Color",
     "CrashWindow",
     "Decision",
     "DeliverResult",

@@ -156,13 +156,15 @@ def _cmd_demo_catchup() -> int:
     print("core tree after the flatten:")
     print(core.replica.pretty())
 
-    nebula.mark_colors(ann.committed_ids)
-    print("\nnebula tree after coloring (cyan = committed by core):")
-    print(nebula.replica.pretty())
-    cyans, groups, _ = nebula._collect_catch_up()
+    black = nebula.mark_colors(ann.committed_ids)
+    print("\nblack table (nebula effects the core did not commit):")
+    for mini, (insert, _) in black.items():
+        what = "insert" if insert is not None else "tombstone only"
+        print(f"  {mini.atom.decode()!r}: {what}")
+    skeleton, groups = nebula._collect_catch_up(black)
     listing = ", ".join(
-        f"{e.atom.decode()}{' (black tombstone)' if e.black_tomb else ''}"
-        for e in cyans
+        f"{m.atom.decode()}{' (black tombstone)' if m.tombstone else ''}"
+        for m in skeleton
     )
     print(f"\ncyan list: [{listing}]")
     for gap, roots in sorted(groups.items()):

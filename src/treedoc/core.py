@@ -39,13 +39,6 @@ from .tid import (
 )
 
 
-class Color(Enum):
-    """Catch-up marking: CYAN for effects the core committed, BLACK otherwise."""
-
-    CYAN = "cyan"
-    BLACK = "black"
-
-
 class EffectReport(Enum):
     APPLIED = "applied"
     ALREADY_PRESENT = "already_present"
@@ -57,8 +50,6 @@ class MiniNode:
         "disambiguator",
         "atom",
         "tombstone",
-        "color",
-        "tombstone_color",
         "left",
         "right",
         "live_size",
@@ -68,8 +59,6 @@ class MiniNode:
         self.disambiguator = disambiguator
         self.atom = atom
         self.tombstone = False
-        self.color: Optional[Color] = None
-        self.tombstone_color: Optional[Color] = None
         self.left: Optional[MajorNode] = None
         self.right: Optional[MajorNode] = None
         self.live_size = 1
@@ -510,21 +499,28 @@ class Treedoc:
         live = 0
         tombs = 0
         total_bytes = 0
-        # Post-order pass over (major, mini) frames to rebuild live_size.
-        stack: list[tuple] = [(self.root, False)]
+        # One pre-order pass counts nodes and TID bytes; each frame carries
+        # the depth and disambiguator cost of its major node's path. Live
+        # sizes are then summed over the major nodes in reverse, children
+        # before parents.
+        stack: list[tuple[MajorNode, int, int]] = [(self.root, 0, 0)]
         order: list[MajorNode] = []
         while stack:
-            major, seen = stack.pop()
-            if seen:
-                order.append(major)
-                continue
-            stack.append((major, True))
+            major, depth, cost_above = stack.pop()
+            order.append(major)
+            header = header_cost(depth + 1)
             for mini in major.minis:
+                if mini.tombstone:
+                    tombs += 1
+                else:
+                    live += 1
+                cost = cost_above + selector_cost(mini.disambiguator)
+                total_bytes += header + cost
                 if mini.left is not None:
-                    stack.append((mini.left, False))
+                    stack.append((mini.left, depth + 1, cost))
                 if mini.right is not None:
-                    stack.append((mini.right, False))
-        for major in order:
+                    stack.append((mini.right, depth + 1, cost))
+        for major in reversed(order):
             total = 0
             for mini in major.minis:
                 size = 0 if mini.tombstone else 1
@@ -535,12 +531,6 @@ class Treedoc:
                 mini.live_size = size
                 total += size
             major.live_size = total
-        for mini, depth, _, dis_cost in self.iter_nodes():
-            if mini.tombstone:
-                tombs += 1
-            else:
-                live += 1
-            total_bytes += header_cost(depth + 1) + dis_cost
         self.live_count = live
         self.tombstone_count = tombs
         self.tid_bytes_total = total_bytes
@@ -566,7 +556,7 @@ class Treedoc:
             )
 
     def structurally_equal(self, other: "Treedoc") -> bool:
-        """Same epoch and identical tree values (colors ignored)."""
+        """Same epoch and identical tree values."""
         if self.epoch != other.epoch:
             return False
         a = self._canonical_records()
@@ -599,13 +589,7 @@ class Treedoc:
             major, indent, label = stack.pop()
             for mini in reversed(major.minis):
                 tag = mini.atom.decode("utf-8", errors="replace")
-                marks = ""
-                if mini.tombstone:
-                    marks += " tombstone"
-                if mini.color is not None:
-                    marks += f" {mini.color.value}"
-                if mini.tombstone_color is not None:
-                    marks += f"/{mini.tombstone_color.value}-tombstone"
+                marks = " tombstone" if mini.tombstone else ""
                 dis = mini.disambiguator.decode("latin-1")
                 lines.append(f"{'  ' * indent}{label} {tag!r} ({dis}){marks}")
                 if mini.right is not None:

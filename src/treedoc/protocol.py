@@ -26,12 +26,14 @@ from enum import Enum
 from functools import lru_cache
 from typing import Callable, Iterable, Optional
 
-from .core import Color, EffectReport, MajorNode, MiniNode, Treedoc
+from .core import EffectReport, MajorNode, MiniNode, Treedoc
 from .errors import EpochMismatch, InvariantViolation, ProtocolError
 from .flatten import build_balanced, flat_digest, flatten_for_commit
 from .tid import LEFT, RIGHT, Disambiguator, TID
 
 Identity = tuple[Disambiguator, int]
+# Catch-up's black effects: node -> (uncommitted insert, delete to emit).
+BlackTable = dict[MiniNode, tuple[Optional[Identity], Optional[Identity]]]
 
 
 class OpKind(Enum):
@@ -114,7 +116,7 @@ class FlattenAnnouncement:
 
     ``committed_ids`` is the identity set every core site had delivered in
     the old epoch; a nebula site needs it both to know when it has caught
-    up on old core updates and to color its tree cyan/black.
+    up on old core updates and to tell its cyan effects from its black ones.
     """
 
     old_epoch: int
@@ -200,14 +202,6 @@ def causal_ready(replica: Treedoc, op: Operation) -> bool:
     if op.kind is OpKind.DELETE:
         return replica.find(op.tid) is not None
     return replica.ancestors_exist(op.tid)
-
-
-@dataclass
-class _CyanEntry:
-    atom: bytes
-    dis: Disambiguator
-    old_tid: TID
-    black_tomb: Optional[Identity]  # delete the core has not seen yet
 
 
 class Site:
@@ -381,8 +375,14 @@ class Site:
 
     # -- catch-up -------------------------------------------------------------
 
-    def mark_colors(self, core_op_identities: Iterable[Identity]) -> None:
-        """Color the tree: cyan for effects the core committed, black otherwise.
+    def mark_colors(self, core_op_identities: Iterable[Identity]) -> BlackTable:
+        """The black table: this epoch's effects the core did not commit.
+
+        Maps each mini-node with a black effect to ``(insert, delete)``: the
+        identity of its uncommitted insert, or None when the core has the
+        node, and the identity of the delete to emit for its tombstone, or
+        None. Nodes absent from the table are cyan. Only the TIDs this site
+        recorded in the epoch are resolved; the tree is not traversed.
 
         A node may be a cyan node with a black tombstone (core inserted it,
         this side deleted it). The converse cannot happen honestly: the core
@@ -391,38 +391,58 @@ class Site:
         if self.role is not Role.NEBULA:
             raise ProtocolError("coloring is a nebula-side step")
         ids = frozenset(core_op_identities)
-        for tid, mini in self.replica.walk():
-            ins = self.applied_inserts.get(tid)
-            mini.color = Color.CYAN if (ins is None or ins in ids) else Color.BLACK
-            if mini.tombstone:
-                didents = self.applied_deletes.get(tid)
-                if not didents:
-                    raise ProtocolError(f"tombstone at {tid!r} has no recorded delete")
-                # Cyan as soon as any delete of this node committed: the core
-                # dropped the node, so it must leave the flattened list too.
-                mini.tombstone_color = (
-                    Color.CYAN if any(d in ids for d in didents) else Color.BLACK
-                )
-                if mini.color is Color.BLACK and mini.tombstone_color is Color.CYAN:
+        doc = self.replica
+
+        def node_at(tid: TID) -> MiniNode:
+            mini = doc.find(tid)
+            if mini is None:
+                raise InvariantViolation(f"recorded effect at {tid!r} is not found")
+            return mini
+
+        black: BlackTable = {}
+        for tid, ident in self.applied_inserts.items():
+            if ident not in ids:
+                black[node_at(tid)] = (ident, None)
+        tombstones = 0
+        for tid, idents in self.applied_deletes.items():
+            mini = node_at(tid)
+            tombstones += mini.tombstone
+            ins = black.get(mini, (None, None))[0]
+            # Cyan as soon as any delete of this node committed: the core
+            # dropped the node, so it must leave the flattened list too.
+            if any(d in ids for d in idents):
+                if ins is not None:
                     raise InvariantViolation(
                         f"black node with cyan tombstone at {tid!r}"
                     )
             else:
-                mini.tombstone_color = None
+                # One delete is enough to kill the node at the core;
+                # redundant racing deletes stay local.
+                black[mini] = (ins, min(idents))
+        # Flatten leaves no tombstones, so every tombstone in the tree was
+        # made this epoch and must carry a recorded delete.
+        if tombstones != doc.tombstone_count:
+            raise ProtocolError(
+                f"{doc.tombstone_count} tombstones, {tombstones} of them with a"
+                " recorded delete"
+            )
+        return black
 
     def _collect_catch_up(
-        self,
-    ) -> tuple[list[_CyanEntry], dict[int, list[MiniNode]], dict[int, TID]]:
-        """Step one: the ordered cyan list plus black subtrees per gap.
+        self, black: BlackTable
+    ) -> tuple[list[MiniNode], dict[int, list[MiniNode]]]:
+        """Step one: the cyan skeleton in order, plus black subtrees per gap.
 
+        The skeleton holds fresh mini-nodes for the cyan atoms the core's
+        flatten kept: the live ones, and those with a black tombstone, which
+        are created tombstoned and entered in ``black`` with their delete.
         Black nodes only ever hang below the cyan skeleton (a cyan node's
         ancestors are all cyan, because the core applied it only after its
         ancestors existed there), so a maximal black subtree is intact and
-        its whole span falls in a single gap between consecutive cyan list
+        its whole span falls in a single gap between consecutive skeleton
         entries. Gap 0 is the virtual sentinel before the first entry.
         """
-        node_tids = {id(mini): tid for tid, mini in self.replica.walk()}
-        cyans: list[_CyanEntry] = []
+        skeleton: list[MiniNode] = []
         groups: dict[int, list[MiniNode]] = {}
         doc = self.replica
         if doc.root.minis:
@@ -435,8 +455,9 @@ class Site:
                     continue
                 mini = major.minis[idx]
                 if frame[2] == 0:
-                    if mini.color is Color.BLACK:
-                        groups.setdefault(len(cyans), []).append(mini)
+                    entry = black.get(mini)
+                    if entry is not None and entry[0] is not None:
+                        groups.setdefault(len(skeleton), []).append(mini)
                         frame[1] += 1
                         continue
                     frame[2] = 1
@@ -445,23 +466,14 @@ class Site:
                         continue
                 if frame[2] == 1:
                     frame[2] = 2
-                    tid = node_tids[id(mini)]
-                    if not mini.tombstone:
-                        cyans.append(
-                            _CyanEntry(mini.atom, mini.disambiguator, tid, None)
-                        )
-                    elif mini.tombstone_color is Color.BLACK:
-                        # One delete is enough to kill the node at the core;
-                        # redundant racing deletes stay local.
-                        cyans.append(
-                            _CyanEntry(
-                                mini.atom,
-                                mini.disambiguator,
-                                tid,
-                                min(self.applied_deletes[tid]),
-                            )
-                        )
-                    # A cyan tombstone drops out of the list; its children
+                    entry = black.get(mini)
+                    if entry is not None or not mini.tombstone:
+                        node = MiniNode(mini.disambiguator, mini.atom)
+                        if entry is not None:
+                            node.tombstone = True
+                            black[node] = entry
+                        skeleton.append(node)
+                    # A cyan tombstone drops out of the skeleton; its children
                     # are walked normally and its black subtrees land in the
                     # current gap, i.e. at the end of the last entry built.
                     if mini.right is not None:
@@ -469,19 +481,21 @@ class Site:
                         continue
                 frame[1] += 1
                 frame[2] = 0
-        return cyans, groups, node_tids
+        return skeleton, groups
 
     def catch_up(
         self, buffered_old_core_ops: Iterable[Operation], new_epoch: int
     ) -> list[Operation]:
         """Translate this site's black operations into the new epoch.
 
-        Applies any remaining old core updates, colors the tree, rebuilds
-        the cyan skeleton exactly as the core's flatten did, reattaches the
-        black subtrees at order-preserving free slots, and reads the
-        translated operations (original identities, new TIDs) off the new
-        tree. The emitted set covers every black operation in the tree, not
-        only the ones this site originated.
+        Applies any remaining old core updates, builds the black table
+        (``mark_colors``), rebuilds the cyan skeleton exactly as the core's
+        flatten did, reattaches the black subtrees at order-preserving free
+        slots, and reads the translated operations (original identities,
+        new TIDs) off one walk of the new tree. They are ordered by depth,
+        inserts before deletes, so a receiver applies each one without
+        buffering. The emitted set covers every black operation in the
+        tree, not only the ones this site originated.
         """
         if self.role is not Role.NEBULA:
             raise ProtocolError("catch-up is a nebula-side step")
@@ -500,12 +514,8 @@ class Site:
             raise ProtocolError(
                 f"catch-up started before {len(missing)} committed ops arrived"
             )
-        self.mark_colors(ann.committed_ids)
-        old_ins = self.applied_inserts
-        old_del = self.applied_deletes
-        cyans, groups, node_tids = self._collect_catch_up()
-
-        skeleton = [MiniNode(e.dis, e.atom) for e in cyans]
+        black = self.mark_colors(ann.committed_ids)
+        skeleton, groups = self._collect_catch_up(black)
         new_doc = build_balanced(skeleton)
         new_doc.epoch = new_epoch
         if flat_digest(new_epoch, skeleton) != ann.doc_digest:
@@ -513,57 +523,44 @@ class Site:
                 f"cyan skeleton of {len(skeleton)} atoms does not match the"
                 f" digest the core announced for epoch {new_epoch}"
             )
-        new_infos = list(new_doc.walk())
-
-        emissions: list[Operation] = []
-        new_ins: dict[TID, Identity] = {}
-        new_del: dict[TID, list[Identity]] = {}
-        for entry, (new_tid, new_mini) in zip(cyans, new_infos):
-            if entry.black_tomb is not None:
-                new_mini.tombstone = True
-                new_mini.tombstone_color = Color.BLACK
-                origin, seq = entry.black_tomb
-                emissions.append(
-                    Operation(new_epoch, OpKind.DELETE, new_tid, None, origin, seq)
-                )
-                new_del[new_tid] = [entry.black_tomb]
 
         for gap in sorted(groups):
             roots = groups[gap]
-            if not cyans:
+            if not skeleton:
                 first = roots[0]
                 new_doc.root.minis.append(first)
                 anchor, direction = _rightmost_free(first)
                 rest = roots[1:]
             else:
-                anchor, direction = _gap_slot(new_infos, gap)
+                anchor, direction = _gap_slot(skeleton, gap)
                 rest = roots
             for root in rest:
                 _attach_at(anchor, direction, root)
                 anchor, direction = _rightmost_free(root)
         new_doc.recompute_counters()
 
+        emissions: list[Operation] = []
+        new_ins: dict[TID, Identity] = {}
+        new_del: dict[TID, list[Identity]] = {}
         for new_tid, mini in new_doc.walk():
-            if mini.color is Color.BLACK:
-                old_tid = node_tids[id(mini)]
-                origin, seq = old_ins[old_tid]
+            entry = black.get(mini)
+            if entry is None:
+                continue
+            ins, dele = entry
+            if ins is not None:
                 emissions.append(
-                    Operation(new_epoch, OpKind.INSERT, new_tid, mini.atom, origin, seq)
+                    Operation(new_epoch, OpKind.INSERT, new_tid, mini.atom, *ins)
                 )
-                new_ins[new_tid] = (origin, seq)
-                if mini.tombstone:
-                    dorigin, dseq = min(old_del[old_tid])
-                    emissions.append(
-                        Operation(new_epoch, OpKind.DELETE, new_tid, None, dorigin, dseq)
-                    )
-                    new_del[new_tid] = [(dorigin, dseq)]
+                new_ins[new_tid] = ins
+            if dele is not None:
+                emissions.append(
+                    Operation(new_epoch, OpKind.DELETE, new_tid, None, *dele)
+                )
+                new_del[new_tid] = [dele]
         emissions.sort(
             key=lambda op: (op.tid.depth, 0 if op.kind is OpKind.INSERT else 1)
         )
 
-        for mini, _, _, _ in new_doc.iter_nodes():
-            mini.color = None
-            mini.tombstone_color = None
         self.replica = new_doc
         self.applied_inserts = new_ins
         self.applied_deletes = new_del
@@ -602,9 +599,7 @@ class Site:
                 self.deliver(op)
 
 
-def _gap_slot(
-    new_infos: list[tuple[TID, MiniNode]], gap: int
-) -> tuple[MiniNode, int]:
+def _gap_slot(skeleton: list[MiniNode], gap: int) -> tuple[MiniNode, int]:
     """The free slot whose infix position is gap ``gap`` of the new tree.
 
     Between consecutive infix neighbours one of (left.right, right.left) is
@@ -612,13 +607,13 @@ def _gap_slot(
     with a cyan node and never needs the major-node merge case.
     """
     if gap == 0:
-        return new_infos[0][1], LEFT
-    if gap == len(new_infos):
-        return new_infos[-1][1], RIGHT
-    left_mini = new_infos[gap - 1][1]
+        return skeleton[0], LEFT
+    if gap == len(skeleton):
+        return skeleton[-1], RIGHT
+    left_mini = skeleton[gap - 1]
     if left_mini.right is None:
         return left_mini, RIGHT
-    return new_infos[gap][1], LEFT
+    return skeleton[gap], LEFT
 
 
 def _attach_at(parent: MiniNode, direction: int, root: MiniNode) -> None:

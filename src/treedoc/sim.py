@@ -38,6 +38,7 @@ from .protocol import (
     Site,
     initiate_flatten,
 )
+from .trace import write_csv
 
 EventLogEntry = tuple[int, str, str, str]
 MetricsRow = tuple[int, int, int, float, int]  # tick, nodes, tombstones, mean, epoch
@@ -384,10 +385,14 @@ def run(config: SimConfig, *, strict: bool = False) -> SimResult:
 
 
 def write_metrics_csv(metrics: list[MetricsRow], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("tick,total_nodes,tombstones,mean_tid_bytes,epoch\n")
-        for tick, nodes, tombs, mean, epoch in metrics:
-            fh.write(f"{tick},{nodes},{tombs},{mean:.3f},{epoch}\n")
+    write_csv(
+        path,
+        "tick,total_nodes,tombstones,mean_tid_bytes,epoch\n",
+        (
+            f"{tick},{nodes},{tombs},{mean:.3f},{epoch}\n"
+            for tick, nodes, tombs, mean, epoch in metrics
+        ),
+    )
 
 
 def write_event_log(log: list[EventLogEntry], path: str) -> None:

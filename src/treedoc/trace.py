@@ -209,24 +209,23 @@ def replay(
 
 
 def write_metrics_csv(rows: Iterable[MetricsRow], out: str | Path | TextIO) -> None:
-    header = (
+    write_csv(
+        out,
         "op_index,tree_size_nodes,tombstone_fraction,"
-        "mean_tid_encoded_bytes,op_duration,epoch\n"
+        "mean_tid_encoded_bytes,op_duration,epoch\n",
+        (
+            f"{row.op_index},{row.tree_size_nodes},{row.tombstone_fraction:.6f},"
+            f"{row.mean_tid_encoded_bytes:.3f},{row.op_duration:.9f},{row.epoch}\n"
+            for row in rows
+        ),
     )
+
+
+def write_csv(out: str | Path | TextIO, header: str, lines: Iterable[str]) -> None:
+    """Write ``header`` and the newline-terminated ``lines`` to a path or file."""
     if hasattr(out, "write"):
-        fh = out
-        fh.write(header)
-        for row in rows:
-            fh.write(_csv_line(row))
-    else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(header)
-            for row in rows:
-                fh.write(_csv_line(row))
-
-
-def _csv_line(row: MetricsRow) -> str:
-    return (
-        f"{row.op_index},{row.tree_size_nodes},{row.tombstone_fraction:.6f},"
-        f"{row.mean_tid_encoded_bytes:.3f},{row.op_duration:.9f},{row.epoch}\n"
-    )
+        out.write(header)
+        out.writelines(lines)
+        return
+    with open(out, "w", encoding="utf-8") as fh:
+        write_csv(fh, header, lines)

@@ -110,6 +110,8 @@ def test_demo_catchup(capsys):
     code = main(["demo-catchup"])
     assert code == 0
     out = capsys.readouterr().out
-    assert "cyan list" in out
+    assert "'b': insert" in out
+    assert "'c': tombstone only" in out
+    assert "cyan list: [a, c (black tombstone)]" in out
     assert "structurally equal: True" in out
     assert "'ab'" in out

@@ -4,7 +4,15 @@ import dataclasses
 
 import pytest
 
-from treedoc import InvariantViolation, OpKind, Role, Site, TID, initiate_flatten
+from treedoc import (
+    InvariantViolation,
+    OpKind,
+    ProtocolError,
+    Role,
+    Site,
+    TID,
+    initiate_flatten,
+)
 from treedoc import bench
 from treedoc.core import MiniNode
 from treedoc.protocol import AbortReason, FlattenOutcome, _attach_at
@@ -61,6 +69,14 @@ def test_catch_up_accepts_the_real_announcement():
     nebula, announcement = _nebula_and_announcement()
     nebula.receive_decision(announcement)
     assert [op.atom for op in nebula.catch_up([], 1)] == [b"x"]
+
+
+def test_catch_up_rejects_a_tombstone_without_a_recorded_delete():
+    nebula = Site(b"N", Role.NEBULA)
+    op = nebula.submit_local(OpKind.INSERT, position=0, atom=b"x")
+    nebula.replica.delete(op.tid)  # tombstoned behind the site's back
+    with pytest.raises(ProtocolError, match="recorded delete"):
+        nebula.mark_colors(set())
 
 
 def test_commit_flatten_with_an_op_in_the_outbox():

@@ -330,25 +330,21 @@ def test_core_insert_nebula_delete_is_cyan_node_black_tombstone():
     core, nebula = _core_and_nebula()
     core.submit_local(OpKind.INSERT, position=0, atom=b"a")
     _ship(core, nebula)
-    nebula.submit_local(OpKind.DELETE, position=0)
-    from treedoc import Color
+    delete = nebula.submit_local(OpKind.DELETE, position=0)
 
-    nebula.mark_colors({op for op in core.delivered_by_epoch[0]})
+    black = nebula.mark_colors({op for op in core.delivered_by_epoch[0]})
     (t, mini), = list(nebula.replica.walk())
-    assert mini.color is Color.CYAN
     assert mini.tombstone
-    assert mini.tombstone_color is Color.BLACK
+    # Cyan node (no uncommitted insert), black tombstone (its delete to emit).
+    assert black == {mini: (None, delete.identity)}
 
 
 def test_nebula_only_insert_is_black():
-    from treedoc import Color
-
     core, nebula = _core_and_nebula()
-    nebula.submit_local(OpKind.INSERT, position=0, atom=b"n")
-    nebula.mark_colors(set())
+    insert = nebula.submit_local(OpKind.INSERT, position=0, atom=b"n")
+    black = nebula.mark_colors(set())
     (_, mini), = list(nebula.replica.walk())
-    assert mini.color is Color.BLACK
-    assert mini.tombstone_color is None
+    assert black == {mini: (insert.identity, None)}
 
 
 def test_black_node_with_cyan_tombstone_is_rejected():
@@ -619,6 +615,52 @@ def test_catch_up_stress_interleaved_rounds():
         assert core.replica.text() == expected
         assert core.replica.structurally_equal(nebula.replica)
         assert nebula.replica.counters_consistent()
+
+
+def test_catch_up_batch_applies_in_order_without_buffering():
+    # The schedule of test_catch_up_stress_interleaved_rounds, with a second,
+    # passive nebula. The batch is ordered by depth, inserts before deletes,
+    # so the core and the other nebula apply it in order: nothing waits.
+    rng = Random(1234)
+    for _ in range(40):
+        core = Site(b"A", Role.CORE)
+        nebula = Site(b"N", Role.NEBULA)
+        other = Site(b"M", Role.NEBULA)
+        for _ in range(3):
+            for _ in range(rng.randint(0, 6)):
+                live = core.replica.live_count
+                if live and rng.random() < 0.35:
+                    core.submit_local(OpKind.DELETE, position=rng.randrange(live))
+                else:
+                    core.submit_local(
+                        OpKind.INSERT,
+                        position=rng.randint(0, live),
+                        atom=bytes([97 + rng.randrange(26)]),
+                    )
+            ops, core.outbox = core.outbox, []
+            for op in ops:
+                nebula.deliver(op)
+                other.deliver(op)
+            for _ in range(rng.randint(0, 6)):
+                live = nebula.replica.live_count
+                if live and rng.random() < 0.35:
+                    nebula.submit_local(OpKind.DELETE, position=rng.randrange(live))
+                else:
+                    nebula.submit_local(
+                        OpKind.INSERT,
+                        position=rng.randint(0, live),
+                        atom=bytes([65 + rng.randrange(26)]),
+                    )
+
+        outcome = initiate_flatten(core, [core])
+        for site in (nebula, other):
+            site.receive_decision(outcome.announcement)
+        assert other.maybe_catch_up() == []
+        emissions = nebula.maybe_catch_up()
+        for site in (core, other):
+            results = [site.deliver(op) for op in emissions]
+            assert DeliverResult.BUFFERED not in results
+            assert site.replica.structurally_equal(nebula.replica)
 
 
 def test_racing_deletes_count_as_cyan_and_stay_local():
