@@ -5,20 +5,33 @@ they are kept sorted by disambiguator. Each mini-node owns its atom slot,
 its tombstone flag and its own left/right child major nodes. The document
 is the infix traversal of the live mini-nodes.
 
-All traversals are iterative: degenerate trees (right spines thousands of
-nodes deep) are a normal workload here and would blow the recursion limit.
-
 Every mini-node and major node carries ``live_size``, the number of live
 atoms in its subtree, so position lookups and allocations run in O(depth).
+
+All traversals are iterative: degenerate trees (right spines thousands of
+nodes deep) are a normal workload here and would blow the recursion limit.
+Three passes cover the whole tree:
+
+* ``iter_nodes``, document (infix, i.e. TID) order, builds a TID only on
+  request (``path_tid``). ``walk``, ``pretty``, ``state_digest``,
+  ``flatten_local``, catch-up's emission and the simulator's convergence
+  check read it.
+* ``live_nodes``, the live nodes only, serves flatten's commit path and
+  ``atoms``/``text`` with no per-node bookkeeping.
+* ``_count``, a pre-order recount, serves ``stats`` and
+  ``recompute_counters``.
+
+Catch-up's collect step (``protocol``) is the one other walk: it prunes.
 """
 
 from __future__ import annotations
 
 import hashlib
+import struct
 from bisect import insort
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 from .errors import (
     IndexOutOfRange,
@@ -309,104 +322,89 @@ class Treedoc:
             raise IndexOutOfRange(
                 f"index {index} outside live document of {self.live_count}"
             )
+        # One element per mini descended through; the first one's direction
+        # is None and its disambiguator is the root entry's.
         major = self.root
-        root_dis: Optional[Disambiguator] = None
         elems: list[PathElement] = []
         direction: Optional[int] = None
         k = index
         while True:
-            descended = False
             for mini in major.minis:
                 left_size = mini.left.live_size if mini.left is not None else 0
                 if k < left_size:
-                    root_dis = _select(elems, root_dis, direction, mini.disambiguator)
+                    elems.append(PathElement(direction, mini.disambiguator))
                     major = mini.left
                     direction = LEFT
-                    descended = True
                     break
                 k -= left_size
                 if not mini.tombstone:
                     if k == 0:
-                        if root_dis is None:
-                            return TID._make(mini.disambiguator, ())
                         elems.append(PathElement(direction, mini.disambiguator))
-                        return TID._make(root_dis, tuple(elems))
+                        return TID._make(elems[0].disambiguator, tuple(elems[1:]))
                     k -= 1
                 right_size = mini.right.live_size if mini.right is not None else 0
                 if k < right_size:
-                    root_dis = _select(elems, root_dis, direction, mini.disambiguator)
+                    elems.append(PathElement(direction, mini.disambiguator))
                     major = mini.right
                     direction = RIGHT
-                    descended = True
                     break
                 k -= right_size
-            if not descended:
+            else:
                 raise InvariantViolation("live_size bookkeeping out of sync")
 
     # -- traversal --------------------------------------------------------
 
-    def iter_nodes(self) -> Iterator[tuple[MiniNode, int, Optional[int], int]]:
-        """Infix traversal yielding (mini, depth, direction, dis_cost).
+    def iter_nodes(self) -> Iterator[tuple[MiniNode, int, Optional[int], list]]:
+        """Infix traversal yielding (mini, depth, direction, path).
 
-        ``depth`` is the path length (root entries are depth 0), ``direction``
-        the mini's own selector direction (None at root level), ``dis_cost``
-        the encoded cost of all disambiguators on its TID. No TID objects are
-        built, which keeps full-tree passes cheap.
+        ``depth`` is the path length (root entries are depth 0) and
+        ``direction`` the mini's own selector direction (None at root level).
+        ``path`` is the traversal's stack: ``path_tid(path)`` gives the
+        mini's TID until the iteration moves on. No TID is built otherwise.
         """
         if not self.root.minis:
             return
-        # Frame: [major, mini_index, stage, entry_direction, cost_above].
-        stack: list[list] = [[self.root, 0, 0, None, 0]]
-        while stack:
-            frame = stack[-1]
-            major, idx, stage = frame[0], frame[1], frame[2]
-            if idx >= len(major.minis):
-                stack.pop()
+        # Frame: [minis, index, direction into this major node, TID prefix
+        # (root disambiguator, path elements) or None until path_tid asks].
+        stack: list[list] = [[self.root.minis, 0, None, (None, ())]]
+        push = stack.append
+        pop = stack.pop
+        frame = stack[0]
+        major = self.root.minis[0].left
+        direction: Optional[int] = LEFT
+        while True:
+            while major is not None:
+                minis = major.minis
+                frame = [minis, 0, direction, None]
+                push(frame)
+                major = minis[0].left
+                direction = LEFT
+            mini = frame[0][frame[1]]
+            yield mini, len(stack) - 1, frame[2], stack
+            major = mini.right
+            if major is not None:
+                direction = RIGHT
                 continue
-            mini = major.minis[idx]
-            cost = frame[4] + selector_cost(mini.disambiguator)
-            if stage == 0:
-                frame[2] = 1
-                if mini.left is not None:
-                    stack.append([mini.left, 0, 0, LEFT, cost])
-                    continue
-            if frame[2] == 1:
-                frame[2] = 2
-                yield mini, len(stack) - 1, frame[3], cost
-                if mini.right is not None:
-                    stack.append([mini.right, 0, 0, RIGHT, cost])
-                    continue
-            frame[1] += 1
-            frame[2] = 0
+            # The mini and both its subtrees are done: climb to the next one.
+            while True:
+                i = frame[1] + 1
+                if i < len(frame[0]):
+                    frame[1] = i
+                    major = frame[0][i].left
+                    direction = LEFT
+                    break
+                pop()
+                if not stack:
+                    return
+                came_from = frame[2]
+                frame = stack[-1]
+                if came_from == LEFT:
+                    break  # the parent's own mini is next
 
     def walk(self) -> Iterator[tuple[TID, MiniNode]]:
         """Infix traversal yielding (TID, mini) for every node."""
-        if not self.root.minis:
-            return
-        # Frame: [major, mini_index, stage, direction, root_dis, elems_tuple].
-        stack: list[list] = [[self.root, 0, 0, None, None, ()]]
-        while stack:
-            frame = stack[-1]
-            major, idx = frame[0], frame[1]
-            if idx >= len(major.minis):
-                stack.pop()
-                continue
-            mini = major.minis[idx]
-            if frame[2] == 0:
-                frame[2] = 1
-                if mini.left is not None:
-                    root_dis, elems = _extend(frame, mini)
-                    stack.append([mini.left, 0, 0, LEFT, root_dis, elems])
-                    continue
-            if frame[2] == 1:
-                frame[2] = 2
-                root_dis, elems = _extend(frame, mini)
-                yield TID._make(root_dis, elems), mini
-                if mini.right is not None:
-                    stack.append([mini.right, 0, 0, RIGHT, root_dis, elems])
-                    continue
-            frame[1] += 1
-            frame[2] = 0
+        for mini, _, _, path in self.iter_nodes():
+            yield path_tid(path), mini
 
     def live_nodes(self) -> tuple[list[MiniNode], list[Optional[MajorNode]]]:
         """The live mini-nodes in document order, with their major nodes.
@@ -471,43 +469,24 @@ class Treedoc:
 
     # -- measurement ------------------------------------------------------
 
-    def stats(self) -> DocStats:
-        """Counts from a full traversal (the honest recount)."""
-        live = 0
-        tombs = 0
-        max_depth = 0
-        total_bytes = 0
-        for mini, depth, _, dis_cost in self.iter_nodes():
-            if mini.tombstone:
-                tombs += 1
-            else:
-                live += 1
-            if depth > max_depth:
-                max_depth = depth
-            total_bytes += header_cost(depth + 1) + dis_cost
-        count = live + tombs
-        mean = total_bytes / count if count else 0.0
-        return DocStats(live, tombs, max_depth, mean)
+    def _count(
+        self, order: Optional[list[MajorNode]] = None
+    ) -> tuple[int, int, int, int]:
+        """(live, tombstones, max depth, TID bytes) from one pre-order pass.
 
-    def mean_tid_encoded_bytes(self) -> float:
-        """O(1) mean from the incremental counters."""
-        count = self.node_count
-        return self.tid_bytes_total / count if count else 0.0
-
-    def recompute_counters(self) -> None:
-        """Rebuild live_size fields and document counters from the tree."""
-        live = 0
-        tombs = 0
-        total_bytes = 0
-        # One pre-order pass counts nodes and TID bytes; each frame carries
-        # the depth and disambiguator cost of its major node's path. Live
-        # sizes are then summed over the major nodes in reverse, children
-        # before parents.
+        Appends every major node to ``order``, parents first, when given.
+        Reads the tree and writes nothing to it.
+        """
+        live = tombs = max_depth = total_bytes = 0
+        # Each frame carries the depth and disambiguator cost of its major
+        # node's path.
         stack: list[tuple[MajorNode, int, int]] = [(self.root, 0, 0)]
-        order: list[MajorNode] = []
         while stack:
             major, depth, cost_above = stack.pop()
-            order.append(major)
+            if order is not None:
+                order.append(major)
+            if depth > max_depth:
+                max_depth = depth
             header = header_cost(depth + 1)
             for mini in major.minis:
                 if mini.tombstone:
@@ -520,6 +499,27 @@ class Treedoc:
                     stack.append((mini.left, depth + 1, cost))
                 if mini.right is not None:
                     stack.append((mini.right, depth + 1, cost))
+        return live, tombs, max_depth, total_bytes
+
+    def stats(self) -> DocStats:
+        """Counts from a full traversal (the honest recount)."""
+        live, tombs, max_depth, total_bytes = self._count()
+        count = live + tombs
+        mean = total_bytes / count if count else 0.0
+        return DocStats(live, tombs, max_depth, mean)
+
+    def mean_tid_encoded_bytes(self) -> float:
+        """O(1) mean from the incremental counters."""
+        count = self.node_count
+        return self.tid_bytes_total / count if count else 0.0
+
+    def recompute_counters(self) -> None:
+        """Rebuild live_size fields and document counters from the tree."""
+        order: list[MajorNode] = []
+        self.live_count, self.tombstone_count, _, self.tid_bytes_total = self._count(
+            order
+        )
+        # Children before parents.
         for major in reversed(order):
             total = 0
             for mini in major.minis:
@@ -531,9 +531,6 @@ class Treedoc:
                 mini.live_size = size
                 total += size
             major.live_size = total
-        self.live_count = live
-        self.tombstone_count = tombs
-        self.tid_bytes_total = total_bytes
 
     def counters_consistent(self) -> bool:
         s = self.stats()
@@ -545,75 +542,79 @@ class Treedoc:
 
     # -- equality and digests ----------------------------------------------
 
-    def _canonical_records(self) -> Iterator[tuple]:
-        for mini, depth, direction, _ in self.iter_nodes():
-            yield (
-                depth,
-                -1 if direction is None else direction,
-                mini.disambiguator,
-                mini.tombstone,
-                mini.atom,
-            )
-
     def structurally_equal(self, other: "Treedoc") -> bool:
         """Same epoch and identical tree values."""
-        if self.epoch != other.epoch:
-            return False
-        a = self._canonical_records()
-        b = other._canonical_records()
-        for ra, rb in zip(a, b):
-            if ra != rb:
-                return False
-        return next(a, None) is None and next(b, None) is None
+        return self.epoch == other.epoch and self.state_digest() == other.state_digest()
 
     def state_digest(self) -> str:
-        """Deterministic digest of epoch plus the full tree contents."""
-        h = hashlib.sha256()
-        h.update(f"epoch:{self.epoch};".encode())
-        for depth, direction, dis, tomb, atom in self._canonical_records():
-            h.update(f"{depth}:{direction}:".encode())
-            h.update(dis)
-            h.update(b"\x01" if tomb else b"\x00")
-            h.update(len(atom).to_bytes(4, "big"))
-            h.update(atom)
-        return h.hexdigest()
+        """Digest of the epoch and the whole tree: every node's
+        (disambiguator, atom) in document order, as the commit digest hashes
+        them, plus one shape code per node (depth, direction, tombstone)."""
+        minis: list[MiniNode] = []
+        shape: list[int] = []
+        for mini, depth, direction, _ in self.iter_nodes():
+            minis.append(mini)
+            shape.append(depth << 2 | (2 if direction else 0) | mini.tombstone)
+        return flat_digest(self.epoch, minis, shape)
 
     def pretty(self) -> str:
-        """Indented rendering for demos and debugging."""
-        if not self.root.minis:
-            return "(empty)"
+        """Rendering for demos and debugging: one line per node in document
+        order, indented by depth and labelled with its direction (``*`` for
+        root entries)."""
         lines: list[str] = []
-        # Pre-order with explicit stack; children labeled by direction.
-        stack: list[tuple[MajorNode, int, str]] = [(self.root, 0, "*")]
-        while stack:
-            major, indent, label = stack.pop()
-            for mini in reversed(major.minis):
-                tag = mini.atom.decode("utf-8", errors="replace")
-                marks = " tombstone" if mini.tombstone else ""
-                dis = mini.disambiguator.decode("latin-1")
-                lines.append(f"{'  ' * indent}{label} {tag!r} ({dis}){marks}")
-                if mini.right is not None:
-                    stack.append((mini.right, indent + 1, "1"))
-                if mini.left is not None:
-                    stack.append((mini.left, indent + 1, "0"))
-        return "\n".join(lines)
+        for mini, depth, direction, _ in self.iter_nodes():
+            label = "*" if direction is None else direction
+            tag = mini.atom.decode("utf-8", errors="replace")
+            marks = " tombstone" if mini.tombstone else ""
+            dis = mini.disambiguator.decode("latin-1")
+            lines.append(f"{'  ' * depth}{label} {tag!r} ({dis}){marks}")
+        return "\n".join(lines) or "(empty)"
 
 
-def _select(
-    elems: list[PathElement],
-    root_dis: Optional[Disambiguator],
-    direction: Optional[int],
-    dis: Disambiguator,
-) -> Disambiguator:
-    # Record the selector for a mini we are descending through.
+def path_tid(path: list) -> TID:
+    """TID of the mini-node that ``iter_nodes`` yielded with ``path``.
+
+    Each frame's prefix is filled in once, on first use, from the nearest
+    frame above it that already has one.
+    """
+    top = len(path) - 1
+    k = top
+    while path[k][3] is None:
+        k -= 1
+    root_dis, elems = path[k][3]
+    while k < top:
+        parent = path[k]
+        k += 1
+        dis = parent[0][parent[1]].disambiguator
+        if root_dis is None:
+            root_dis = dis
+        else:
+            elems += (PathElement(parent[2], dis),)
+        path[k][3] = (root_dis, elems)
+    frame = path[top]
+    dis = frame[0][frame[1]].disambiguator
     if root_dis is None:
-        return dis
-    elems.append(PathElement(direction, dis))
-    return root_dis
+        return TID._make(dis, ())
+    return TID._make(root_dis, elems + (PathElement(frame[2], dis),))
 
 
-def _extend(frame: list, mini: MiniNode) -> tuple[Disambiguator, tuple]:
-    # Selector list for `mini` given its major's frame.
-    if frame[4] is None:
-        return mini.disambiguator, ()
-    return frame[4], frame[5] + (PathElement(frame[3], mini.disambiguator),)
+def flat_digest(
+    epoch: int, minis: Sequence[MiniNode], shape: Optional[Sequence[int]] = None
+) -> str:
+    """Digest of the epoch and the (disambiguator, atom) sequence of ``minis``,
+    and of one code per node when ``shape`` is given."""
+    n = len(minis)
+    diss = [mini.disambiguator for mini in minis]
+    atoms = [mini.atom for mini in minis]
+    h = hashlib.sha256(f"flat:{epoch};{n};".encode())
+    # Struct objects, not struct.pack: the module's format cache would keep
+    # a compiled format alive for every document length it has seen.
+    h.update(struct.Struct(f">{n}H").pack(*map(len, diss)))
+    h.update(b"".join(diss))
+    words = struct.Struct(f">{n}I")
+    h.update(words.pack(*map(len, atoms)))
+    h.update(b"".join(atoms))
+    if shape is not None:
+        h.update(words.pack(*shape))
+    return h.hexdigest()
+

@@ -22,12 +22,10 @@ compares its rebuilt cyan skeleton with the announced digest.
 
 from __future__ import annotations
 
-import hashlib
-import struct
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
-from .core import MajorNode, MiniNode, Treedoc
+from .core import MajorNode, MiniNode, Treedoc, flat_digest, path_tid
 from .tid import Disambiguator, TID, header_cost, selector_cost
 
 Entry = tuple[bytes, Disambiguator]
@@ -118,42 +116,23 @@ def flatten_local(doc: Treedoc) -> FlattenResult:
     produce structurally equal results, which is what lets every core site
     flatten independently after a commit without exchanging state.
     """
-    old_tids: list[TID] = []
-    fresh: list[MiniNode] = []
-    for tid, mini in doc.walk():
-        if not mini.tombstone:
-            old_tids.append(tid)
-            fresh.append(MiniNode(mini.disambiguator, mini.atom))
-    new_doc = build_balanced(fresh)
+    live = [(path_tid(p), m) for m, _, _, p in doc.iter_nodes() if not m.tombstone]
+    new_doc = build_balanced([(m.atom, m.disambiguator) for _, m in live])
     new_doc.epoch = doc.epoch + 1
-    new_tids = [tid for tid, _ in new_doc.walk()]
-    return FlattenResult(new_doc, dict(zip(old_tids, new_tids)))
+    new_tids = (tid for tid, _ in new_doc.walk())
+    return FlattenResult(new_doc, {old: new for (old, _), new in zip(live, new_tids)})
 
 
 def flatten_for_commit(doc: Treedoc) -> tuple[Treedoc, str]:
-    """The flatten_local rebuild without the mapping, plus a state digest.
+    """The flatten_local rebuild without the mapping, plus its digest.
 
     Consumes ``doc``: its live nodes are relinked into the result. The
-    digest is canonical for post-flatten replicas: the balanced shape is a
-    pure function of the live sequence, so hashing (epoch, sequence) pins
-    the whole tree without a second traversal.
+    digest is ``state_digest`` without the shape buffer: the balanced shape
+    is a pure function of the live sequence's length, so hashing (epoch,
+    sequence) pins the whole tree without a second traversal.
     """
     minis, owners = doc.live_nodes()
     new_doc = build_balanced(minis, owners)
     new_doc.epoch = doc.epoch + 1
     return new_doc, flat_digest(new_doc.epoch, minis)
 
-
-def flat_digest(epoch: int, minis: Sequence[MiniNode]) -> str:
-    """Digest of the epoch and the (disambiguator, atom) sequence of ``minis``."""
-    n = len(minis)
-    diss = [mini.disambiguator for mini in minis]
-    atoms = [mini.atom for mini in minis]
-    h = hashlib.sha256(f"flat:{epoch};{n};".encode())
-    # Struct objects, not struct.pack: the module's format cache would keep
-    # a compiled format alive for every document length it has seen.
-    h.update(struct.Struct(f">{n}H").pack(*map(len, diss)))
-    h.update(b"".join(diss))
-    h.update(struct.Struct(f">{n}I").pack(*map(len, atoms)))
-    h.update(b"".join(atoms))
-    return h.hexdigest()

@@ -26,7 +26,7 @@ from enum import Enum
 from functools import lru_cache
 from typing import Callable, Iterable, Optional
 
-from .core import EffectReport, MajorNode, MiniNode, Treedoc
+from .core import EffectReport, MajorNode, MiniNode, Treedoc, path_tid
 from .errors import EpochMismatch, InvariantViolation, ProtocolError
 from .flatten import build_balanced, flat_digest, flatten_for_commit
 from .tid import LEFT, RIGHT, Disambiguator, TID
@@ -172,19 +172,14 @@ class VoteMsg:
 
 @dataclass(frozen=True)
 class Decision:
-    committed: bool
-    new_epoch: Optional[int]
-    doc_digest: Optional[str]
-    announcement: Optional[FlattenAnnouncement]
+    """A committed flatten, as sent to the nebula sites."""
+
+    announcement: FlattenAnnouncement
 
     def canonical(self) -> str:
-        word = "committed" if self.committed else "aborted"
-        ids = (
-            ids_digest(self.announcement.committed_ids)
-            if self.announcement is not None
-            else ""
-        )
-        return f"decision|{word}|{self.new_epoch}|{self.doc_digest}|{ids}"
+        ann = self.announcement
+        ids = ids_digest(ann.committed_ids)
+        return f"decision|committed|{ann.new_epoch}|{ann.doc_digest}|{ids}"
 
 
 @dataclass(frozen=True)
@@ -492,7 +487,8 @@ class Site:
         (``mark_colors``), rebuilds the cyan skeleton exactly as the core's
         flatten did, reattaches the black subtrees at order-preserving free
         slots, and reads the translated operations (original identities,
-        new TIDs) off one walk of the new tree. They are ordered by depth,
+        new TIDs) off one walk of the new tree, which builds TIDs for the
+        black-table nodes only. They are ordered by depth,
         inserts before deletes, so a receiver applies each one without
         buffering. The emitted set covers every black operation in the
         tree, not only the ones this site originated.
@@ -542,10 +538,11 @@ class Site:
         emissions: list[Operation] = []
         new_ins: dict[TID, Identity] = {}
         new_del: dict[TID, list[Identity]] = {}
-        for new_tid, mini in new_doc.walk():
+        for mini, _, _, path in new_doc.iter_nodes():
             entry = black.get(mini)
             if entry is None:
                 continue
+            new_tid = path_tid(path)
             ins, dele = entry
             if ins is not None:
                 emissions.append(

@@ -94,33 +94,25 @@ class SimResult:
     sites: list[Site] = field(default_factory=list, repr=False)
 
 
-def check_convergence(sites: list[Site]) -> tuple[bool, str]:
-    """Pairwise comparison of document text and live TID sets."""
-    ref = sites[0]
-    ref_text = b"".join(ref.replica.atoms())
-    ref_tids = frozenset(
-        tid for tid, mini in ref.replica.walk() if not mini.tombstone
-    )
+def check_convergence(sites: list[Site]) -> tuple[bool, str, str]:
+    """Compare every replica's ``state_digest`` with the first site's.
+
+    Equal digests mean equal epoch, text, tombstones and tree shape. Returns
+    (converged, what differs, the first site's digest).
+    """
+    ref = sites[0].replica
+    ref_digest = ref.state_digest()
     for site in sites[1:]:
-        text = b"".join(site.replica.atoms())
-        if site.replica.epoch != ref.replica.epoch:
-            return False, (
-                f"{site.id!r} at epoch {site.replica.epoch}, "
-                f"{ref.id!r} at {ref.replica.epoch}"
-            )
-        if text != ref_text:
-            return False, f"{site.id!r} text {text!r} != {ref.id!r} text {ref_text!r}"
-        tids = frozenset(
-            tid for tid, mini in site.replica.walk() if not mini.tombstone
-        )
-        if tids != ref_tids:
-            only_here = len(tids - ref_tids)
-            only_ref = len(ref_tids - tids)
-            return False, (
-                f"{site.id!r} live TID set differs from {ref.id!r} "
-                f"(+{only_here}/-{only_ref})"
-            )
-    return True, ""
+        doc = site.replica
+        if doc.state_digest() != ref_digest:
+            if doc.epoch != ref.epoch:
+                what = f"epoch {doc.epoch} against {ref.epoch}"
+            elif doc.atoms() != ref.atoms():
+                what = f"text {doc.text()!r} against {ref.text()!r}"
+            else:
+                what = "tombstones or tree shape, with equal text"
+            return False, f"{site.id!r} differs from {sites[0].id!r}: {what}", ref_digest
+    return True, "", ref_digest
 
 
 def _digest(payload: str) -> str:
@@ -248,12 +240,7 @@ class Network:
                 "flatten_commit",
                 f"epoch {outcome.new_epoch} {outcome.announcement.doc_digest}",
             )
-            decision = Decision(
-                True,
-                outcome.new_epoch,
-                outcome.announcement.doc_digest,
-                outcome.announcement,
-            )
+            decision = Decision(outcome.announcement)
             for nb in self.nebula_sites:
                 self._send(self._index[nb.id], decision, now)
         else:
@@ -269,8 +256,7 @@ class Network:
             self._log(now, site, f"recv_{result.value}", msg.canonical())
             self._after_delivery(site, now)
         elif isinstance(msg, Decision):
-            if msg.announcement is not None:
-                site.receive_decision(msg.announcement)
+            site.receive_decision(msg.announcement)
             self._log(now, site, "recv_decision", msg.canonical())
             self._after_delivery(site, now)
         elif isinstance(msg, CatchUpBatch):
@@ -363,8 +349,7 @@ class Network:
             if not extra:
                 break
 
-        converged, diff = check_convergence(self.sites)
-        final = self.sites[0].replica.state_digest()
+        converged, diff, final = check_convergence(self.sites)
         self._log(last_tick, "net", "converged" if converged else "diverged", final)
         return SimResult(
             converged=converged,

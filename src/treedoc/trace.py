@@ -135,14 +135,19 @@ def read_trace(path: str | Path) -> list[TraceEvent]:
                 continue
             try:
                 rev, kind, pos, atom64 = line.split("\t")
+                op_kind = OpKind(kind)
+                if (op_kind is OpKind.INSERT) != bool(atom64):
+                    raise ValueError("an insert needs an atom, a delete takes none")
                 event = TraceEvent(
                     int(rev),
-                    OpKind(kind),
+                    op_kind,
                     int(pos),
-                    base64.b64decode(atom64) if atom64 else None,
+                    base64.b64decode(atom64, validate=True) if atom64 else None,
                 )
             except (ValueError, KeyError) as exc:
-                raise ValueError(f"{path}:{line_no}: malformed trace line") from exc
+                raise ValueError(
+                    f"{path}:{line_no}: malformed trace line: {exc}"
+                ) from exc
             events.append(event)
     return events
 

@@ -2,7 +2,7 @@ from random import Random
 
 import pytest
 
-from treedoc import TID, PathElement, Treedoc
+from treedoc import LEFT, RIGHT, TID, PathElement, Treedoc
 
 A = b"A"
 
@@ -51,4 +51,36 @@ def random_doc(rng: Random, n_ops: int, delete_ratio: float = 0.3) -> Treedoc:
             site = SITES[rng.randrange(len(SITES))]
             t = doc.alloc_tid_at_position(rng.randint(0, live), site)
             doc.insert(t, bytes([97 + rng.randrange(26)]))
+    return doc
+
+
+MULTISITE_SITES = (b"A", b"B", b"C", b"long-site")
+
+
+def multisite_doc(rng: Random, n_ops: int, delete_ratio: float = 0.3) -> Treedoc:
+    """Random inserts at free child slots from several sites, so that many
+    major nodes hold several mini-nodes (as concurrent inserts leave them)."""
+    doc = Treedoc()
+    tids = []
+    for _ in range(n_ops):
+        if tids and rng.random() < delete_ratio:
+            doc.delete(tids[rng.randrange(len(tids))])
+            continue
+        site = MULTISITE_SITES[rng.randrange(len(MULTISITE_SITES))]
+        if not tids or rng.random() < 0.05:
+            new = TID(site)
+        else:
+            new = tids[rng.randrange(len(tids))].child(rng.choice((LEFT, RIGHT)), site)
+        doc.insert(new, bytes([97 + rng.randrange(26)]) * rng.randint(1, 3))
+        tids.append(new)
+    return doc
+
+
+def deep_spine_doc(n: int) -> Treedoc:
+    doc = Treedoc()
+    cur = TID(b"A")
+    doc.insert(cur, b"x")
+    for i in range(n - 1):
+        cur = doc.alloc_tid_after(cur, b"A")
+        doc.insert(cur, b"%d" % i)
     return doc

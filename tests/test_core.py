@@ -3,16 +3,27 @@ from random import Random
 import pytest
 
 from treedoc import (
+    LEFT,
+    RIGHT,
     EffectReport,
     IndexOutOfRange,
     MissingAncestor,
     MissingTarget,
+    PathElement,
     TID,
     Treedoc,
     UnknownTID,
 )
+from treedoc.core import path_tid
 
-from conftest import ABCDEF_PATHS, build_abcdef, random_doc, tid
+from conftest import (
+    ABCDEF_PATHS,
+    build_abcdef,
+    deep_spine_doc,
+    multisite_doc,
+    random_doc,
+    tid,
+)
 
 
 def test_sample_doc_reads_abcdef(abcdef_doc):
@@ -283,6 +294,58 @@ def test_walk_and_iter_nodes_agree():
     tids = [(m.disambiguator, m.atom, m.tombstone) for _, m in doc.walk()]
     lean = [(m.disambiguator, m.atom, m.tombstone) for m, _, _, _ in doc.iter_nodes()]
     assert tids == lean
+
+
+TID_DOCS = (
+    [("empty", Treedoc), ("spine-1200", lambda: deep_spine_doc(1200))]
+    + [(f"multisite-{s}", lambda s=s: multisite_doc(Random(s), 60 + 20 * s)) for s in range(8)]
+    + [(f"random-{s}", lambda s=s: random_doc(Random(s), 150)) for s in range(4)]
+)
+
+
+@pytest.mark.parametrize("make", [m for _, m in TID_DOCS], ids=[n for n, _ in TID_DOCS])
+def test_walk_tids_match_find_and_index_descent(make):
+    doc = make()
+    live = 0
+    for t, mini in doc.walk():
+        assert doc.find(t) is mini
+        if not mini.tombstone:
+            assert t == doc.tid_of_live_index(live)
+            live += 1
+    assert live == doc.live_count
+
+
+@pytest.mark.parametrize("make", [m for _, m in TID_DOCS], ids=[n for n, _ in TID_DOCS])
+def test_path_tid_on_demand_matches_walk(make):
+    # Ask for every seventh node only, as catch-up asks for its black nodes:
+    # a frame's prefix is then filled in from an ancestor several levels up.
+    doc = make()
+    expected = [t for t, _ in doc.walk()][::7]
+    picked = [path_tid(p) for i, (_, _, _, p) in enumerate(doc.iter_nodes()) if i % 7 == 0]
+    assert picked == expected
+
+
+def _shared_root_doc() -> Treedoc:
+    # The root major node holds A (dis a) and B (dis b); aL hangs left of A
+    # and bR right of B.
+    doc = Treedoc()
+    doc.insert(TID(b"a"), b"A")
+    doc.insert(TID(b"b"), b"B")
+    doc.insert(TID(b"a", (PathElement(LEFT, b"x"),)), b"aL")
+    doc.insert(TID(b"b", (PathElement(RIGHT, b"x"),)), b"bR")
+    return doc
+
+
+def test_pretty_renders_shared_major_nodes_in_document_order():
+    doc = _shared_root_doc()
+    assert doc.text() == "aLABbR"
+    assert doc.pretty().splitlines() == [
+        "  0 'aL' (x)",
+        "* 'A' (a)",
+        "* 'B' (b)",
+        "  1 'bR' (x)",
+    ]
+    assert Treedoc().pretty() == "(empty)"
 
 
 def test_structural_equality_and_digest():

@@ -14,11 +14,9 @@ import pytest
 from treedoc import TID, Treedoc, flatten_local
 from treedoc.core import MajorNode, MiniNode
 from treedoc.flatten import build_balanced, flat_digest, flatten_for_commit
-from treedoc.tid import LEFT, RIGHT, _varint_len, selector_cost
+from treedoc.tid import RIGHT, _varint_len, selector_cost
 
-from conftest import random_doc
-
-SITES = (b"A", b"B", b"C", b"long-site")
+from conftest import deep_spine_doc, multisite_doc, random_doc
 
 
 def reference_flatten(doc: Treedoc) -> Treedoc:
@@ -51,35 +49,6 @@ def _build_major(entries, lo, hi, pairs, base_cost, total):
     major = MajorNode([mini])
     major.live_size = hi - lo
     return major
-
-
-def multisite_doc(rng: Random, n_ops: int, delete_ratio: float = 0.3) -> Treedoc:
-    """Random inserts at free child slots from several sites, so that many
-    major nodes hold several mini-nodes (as concurrent inserts leave them)."""
-    doc = Treedoc()
-    tids = []
-    for _ in range(n_ops):
-        if tids and rng.random() < delete_ratio:
-            doc.delete(tids[rng.randrange(len(tids))])
-            continue
-        site = SITES[rng.randrange(len(SITES))]
-        if not tids or rng.random() < 0.05:
-            new = TID(site)
-        else:
-            new = tids[rng.randrange(len(tids))].child(rng.choice((LEFT, RIGHT)), site)
-        doc.insert(new, bytes([97 + rng.randrange(26)]) * rng.randint(1, 3))
-        tids.append(new)
-    return doc
-
-
-def deep_spine_doc(n: int) -> Treedoc:
-    doc = Treedoc()
-    cur = TID(b"A")
-    doc.insert(cur, b"x")
-    for i in range(n - 1):
-        cur = doc.alloc_tid_after(cur, b"A")
-        doc.insert(cur, b"%d" % i)
-    return doc
 
 
 def _sizes(doc: Treedoc) -> list:

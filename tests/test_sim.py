@@ -1,6 +1,6 @@
 import pytest
 
-from treedoc import CrashWindow, NonConvergenceError, SimConfig
+from treedoc import CrashWindow, NonConvergenceError, OpKind, Role, SimConfig, Site
 from treedoc import sim
 
 
@@ -100,6 +100,20 @@ def test_injected_message_drop_diverges():
     assert result.diff
     with pytest.raises(NonConvergenceError):
         sim.run(config, strict=True)
+
+
+def test_convergence_check_sees_a_tombstone_the_text_hides():
+    # Site A inserts an atom and deletes it; site B sees neither op. Text and
+    # live TIDs agree, the trees do not.
+    a = Site(b"A", Role.CORE)
+    b = Site(b"B", Role.CORE)
+    a.submit_local(OpKind.INSERT, position=0, atom=b"x")
+    a.submit_local(OpKind.DELETE, position=0)
+    assert a.replica.text() == b.replica.text() == ""
+    result = sim.check_convergence([a, b])
+    assert result[0] is False
+    assert "tombstones" in result[1]
+    assert result[2] == a.replica.state_digest()
 
 
 def test_metrics_and_log_exports(tmp_path):

@@ -137,6 +137,21 @@ def test_read_trace_rejects_garbage(tmp_path):
         read_trace(path)
 
 
+@pytest.mark.parametrize(
+    "bad_line",
+    [
+        "1\tinsert\t0\tYQ==!",  # not valid base64 (a lax decode reads b"a")
+        "1\tinsert\t0\t",  # an insert without its atom
+        "1\tdelete\t0\tYQ==",  # a delete carrying an atom
+    ],
+)
+def test_read_trace_rejects_malformed_line_with_its_number(tmp_path, bad_line):
+    path = tmp_path / "bad.trace"
+    path.write_text(f"0\tinsert\t0\tYQ==\n{bad_line}\n")
+    with pytest.raises(ValueError, match=r"bad\.trace:2: malformed trace line"):
+        read_trace(path)
+
+
 # -- replay metrics ----------------------------------------------------------------
 
 
