@@ -21,9 +21,8 @@ epoch through the cyan/black catch-up translation below.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
 from typing import Callable, Iterable, Optional
 
 from .core import EffectReport, MajorNode, MiniNode, Treedoc, path_tid
@@ -78,23 +77,26 @@ class Operation:
     atom: Optional[bytes]
     origin: Disambiguator
     origin_seq: int
+    # One op is serialized for logs once, not once per send and delivery;
+    # the string lives and dies with the op.
+    _canonical: Optional[str] = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     @property
     def identity(self) -> Identity:
         return (self.origin, self.origin_seq)
 
     def canonical(self) -> str:
-        return _op_canonical(self)
-
-
-@lru_cache(maxsize=1 << 16)
-def _op_canonical(op: "Operation") -> str:
-    # One op is serialized for logs once per system, not once per delivery.
-    atom = "" if op.atom is None else op.atom.hex()
-    return (
-        f"{op.epoch}:{op.kind.value}:{op.tid.encode().hex()}"
-        f":{atom}:{op.origin.hex()}:{op.origin_seq}"
-    )
+        text = self._canonical
+        if text is None:
+            atom = "" if self.atom is None else self.atom.hex()
+            text = (
+                f"{self.epoch}:{self.kind.value}:{self.tid.encode().hex()}"
+                f":{atom}:{self.origin.hex()}:{self.origin_seq}"
+            )
+            object.__setattr__(self, "_canonical", text)
+        return text
 
 
 @dataclass(frozen=True)
@@ -210,17 +212,24 @@ class Site:
         self.outbox: list[Operation] = []
         self.pending: list[Operation] = []
         self._pending_ids: set[Identity] = set()
-        # Ops for other epochs, kept for catch-up; per-epoch, deduplicated.
-        self.epoch_buffers: dict[int, dict[Identity, Operation]] = {}
-        # Approximate duplicate filter: highest contiguous seq per origin.
+        # Duplicate filter, exact: an identity was recorded iff its seq is at
+        # most its origin's counter (every seq up to it arrived) or it is in
+        # the exception set (it arrived above its origin's counter, out of
+        # order). Exceptions leave the set as the counter passes them.
         self.delivered_summary: dict[Disambiguator, int] = {}
-        self.delivered_all: set[Identity] = set()
+        self.delivered_exceptions: set[Identity] = set()
+        # Per-epoch state for this site's epoch and later ones only; entries
+        # below it are dropped when the site changes epoch. The buffers hold
+        # ops for other epochs, kept for catch-up and deduplicated.
+        self.epoch_buffers: dict[int, dict[Identity, Operation]] = {}
         self.delivered_by_epoch: dict[int, set[Identity]] = {}
-        # TID -> identities of the ops that created/tombstoned it, this epoch.
-        # Several sites may race to delete one node, so deletes are a list.
+        self.announcements: dict[int, FlattenAnnouncement] = {}
+        self._digest_memo: tuple[tuple[int, int], str] = ((-1, -1), "")
+        # Nebula only, read by catch-up: TID -> identities of the ops that
+        # created/tombstoned it this epoch. Several sites may race to delete
+        # one node, so deletes are a list.
         self.applied_inserts: dict[TID, Identity] = {}
         self.applied_deletes: dict[TID, list[Identity]] = {}
-        self.announcements: dict[int, FlattenAnnouncement] = {}
         self.crashed = False
         self.unreachable = False
         self._delivered_since_take: list[Operation] = []
@@ -269,18 +278,24 @@ class Site:
 
     def _record(self, op: Operation) -> None:
         ident = op.identity
-        self.delivered_all.add(ident)
         self.delivered_by_epoch.setdefault(op.epoch, set()).add(ident)
-        if op.kind is OpKind.INSERT:
-            self.applied_inserts[op.tid] = ident
-        else:
-            idents = self.applied_deletes.setdefault(op.tid, [])
-            if ident not in idents:
-                idents.append(ident)
-        seq = self.delivered_summary.get(op.origin, 0)
-        while (op.origin, seq + 1) in self.delivered_all:
-            seq += 1
-        self.delivered_summary[op.origin] = seq
+        if self.role is Role.NEBULA:
+            if op.kind is OpKind.INSERT:
+                self.applied_inserts[op.tid] = ident
+            else:
+                idents = self.applied_deletes.setdefault(op.tid, [])
+                if ident not in idents:
+                    idents.append(ident)
+        origin, seq = ident
+        counter = self.delivered_summary.get(origin, 0)
+        if seq == counter + 1:
+            exceptions = self.delivered_exceptions
+            while (origin, seq + 1) in exceptions:
+                seq += 1
+                exceptions.remove((origin, seq))
+            self.delivered_summary[origin] = seq
+        elif seq > counter:
+            self.delivered_exceptions.add(ident)
 
     # -- remote delivery ----------------------------------------------------
 
@@ -293,7 +308,7 @@ class Site:
         ident = op.identity
         if op.origin_seq <= self.delivered_summary.get(op.origin, 0):
             return DeliverResult.DUPLICATE
-        if ident in self.delivered_all:
+        if ident in self.delivered_exceptions:
             return DeliverResult.DUPLICATE
         if op.epoch != self.replica.epoch:
             self.epoch_buffers.setdefault(op.epoch, {}).setdefault(ident, op)
@@ -339,6 +354,19 @@ class Site:
 
     # -- flatten voting and commit -------------------------------------------
 
+    def epoch_ids_digest(self) -> str:
+        """``ids_digest`` of the identities delivered in this site's epoch.
+
+        Memoized by (epoch, set size): an epoch's set only grows, so an
+        unchanged size means an unchanged set.
+        """
+        epoch = self.replica.epoch
+        ids = self.delivered_by_epoch.get(epoch, ())
+        key = (epoch, len(ids))
+        if self._digest_memo[0] != key:
+            self._digest_memo = (key, ids_digest(ids))
+        return self._digest_memo[1]
+
     def vote_on_prepare(self, msg: PrepareMessage) -> Vote:
         """Yes only when this site has seen exactly the coordinator's ops
         and has nothing of its own in flight."""
@@ -348,8 +376,7 @@ class Site:
             self.replica.epoch == msg.old_epoch
             and not self.outbox
             and not self.pending
-            and ids_digest(self.delivered_by_epoch.get(msg.old_epoch, ()))
-            == msg.op_set_digest
+            and self.epoch_ids_digest() == msg.op_set_digest
         )
         return Vote(self.id, VoteDecision.YES if ok else VoteDecision.NO)
 
@@ -361,12 +388,24 @@ class Site:
                 f" its outbox and {len(self.pending)} pending"
             )
         self.replica, digest = flatten_for_commit(self.replica)
-        self.applied_inserts = {}
-        self.applied_deletes = {}
+        self._forget_before(self.replica.epoch)
         return digest
 
+    def _forget_before(self, epoch: int) -> None:
+        """Drop per-epoch state for epochs below ``epoch``, just entered.
+
+        Every reader of this state asks for the site's own epoch: voting,
+        the commit's identity set, catch-up and the buffer drain after it.
+        """
+        for table in (self.delivered_by_epoch, self.announcements, self.epoch_buffers):
+            for old in [e for e in table if e < epoch]:
+                del table[old]
+
     def receive_decision(self, ann: FlattenAnnouncement) -> None:
-        self.announcements.setdefault(ann.old_epoch, ann)
+        # A site past the announced epoch (every core member, once it has
+        # committed) has no catch-up left to do with it.
+        if ann.old_epoch >= self.replica.epoch:
+            self.announcements.setdefault(ann.old_epoch, ann)
 
     # -- catch-up -------------------------------------------------------------
 
@@ -563,6 +602,7 @@ class Site:
         self.applied_deletes = new_del
         epoch_set = self.delivered_by_epoch.setdefault(new_epoch, set())
         epoch_set.update(op.identity for op in emissions)
+        self._forget_before(new_epoch)
         self.pending.clear()
         self._pending_ids.clear()
         self.outbox = [op for op in self.outbox if op.epoch >= new_epoch]
@@ -647,11 +687,7 @@ def initiate_flatten(
     if coordinator not in members:
         members.insert(0, coordinator)
     old_epoch = coordinator.replica.epoch
-    prepare = PrepareMessage(
-        coordinator.id,
-        old_epoch,
-        ids_digest(coordinator.delivered_by_epoch.get(old_epoch, ())),
-    )
+    prepare = PrepareMessage(coordinator.id, old_epoch, coordinator.epoch_ids_digest())
     for member in members:
         if observer is not None:
             observer(coordinator.id, member.id, Prepare(prepare))

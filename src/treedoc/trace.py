@@ -198,6 +198,7 @@ def replay(
         for other in sites:
             if other is not site:
                 other.deliver(op)
+                other.take_delivered()  # lockstep: nothing is relayed
         doc = site.replica
         rows.append(
             MetricsRow(

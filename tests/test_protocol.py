@@ -1,7 +1,9 @@
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from treedoc import protocol
 from treedoc import (
     AbortReason,
     DeliverResult,
@@ -699,3 +701,125 @@ def test_emitted_tombstoned_black_nodes_round_trip():
     assert core.replica.text() == "a"
     assert core.replica.structurally_equal(nebula.replica)
     assert core.replica.tombstone_count == 1
+
+
+# -- site metadata ----------------------------------------------------------------
+
+
+def _count_ids_digest(monkeypatch):
+    calls = []
+    real = protocol.ids_digest
+
+    def counting(ids):
+        calls.append(ids)
+        return real(ids)
+
+    monkeypatch.setattr(protocol, "ids_digest", counting)
+    return calls
+
+
+def test_flatten_round_digests_each_members_epoch_set_once(monkeypatch):
+    solo = Site(b"A", Role.CORE)
+    solo.submit_local(OpKind.INSERT, position=0, atom=b"x")
+    solo.outbox.clear()
+    cores = make_cores()
+    cores[0].submit_local(OpKind.INSERT, position=0, atom=b"y")
+    gossip(cores)
+    calls = _count_ids_digest(monkeypatch)
+    assert initiate_flatten(solo, [solo]).committed
+    assert len(calls) == 1
+    calls.clear()
+    assert initiate_flatten(cores[0], cores).committed
+    assert len(calls) == 3
+
+
+def test_delivery_between_prepare_and_vote_gives_a_no_vote():
+    a, b, c = make_cores()
+    a.submit_local(OpKind.INSERT, position=0, atom=b"x")
+    gossip([a, b, c])
+    prepare = PrepareMessage(a.id, 0, a.epoch_ids_digest())
+    assert b.vote_on_prepare(prepare).decision is VoteDecision.YES
+    late = c.submit_local(OpKind.INSERT, position=1, atom=b"y")
+    c.outbox.clear()
+    assert b.deliver(late) is DeliverResult.APPLIED
+    assert b.vote_on_prepare(prepare).decision is VoteDecision.NO
+
+
+def test_only_nebula_sites_fill_the_applied_tables():
+    core = Site(b"A", Role.CORE)
+    nebula = Site(b"N", Role.NEBULA)
+    other = Site(b"B", Role.CORE)
+    ops = [
+        core.submit_local(OpKind.INSERT, position=0, atom=b"a"),
+        core.submit_local(OpKind.INSERT, position=1, atom=b"b"),
+        core.submit_local(OpKind.DELETE, position=0),
+        other.submit_local(OpKind.INSERT, position=0, atom=b"c"),
+        other.submit_local(OpKind.DELETE, position=0),
+    ]
+    for op in ops:
+        if op.origin != core.id:
+            assert core.deliver(op) is DeliverResult.APPLIED
+        assert nebula.deliver(op) is DeliverResult.APPLIED
+    nebula.submit_local(OpKind.INSERT, position=0, atom=b"n")
+    assert core.applied_inserts == {} and core.applied_deletes == {}
+    assert len(nebula.applied_inserts) == 4 and len(nebula.applied_deletes) == 2
+
+
+def test_epoch_change_drops_older_per_epoch_state():
+    core = Site(b"A", Role.CORE)
+    nebula = Site(b"N", Role.NEBULA)
+    nebula.deliver(core.submit_local(OpKind.INSERT, position=0, atom=b"a"))
+    core.outbox.clear()
+    first = initiate_flatten(core, [core]).announcement
+    # Committed members are past the announced epoch and store nothing.
+    assert core.announcements == {} and core.delivered_by_epoch == {}
+    stale = Operation(0, OpKind.INSERT, TID(b"X"), b"x", b"X", 1)
+    assert core.deliver(stale) is DeliverResult.WRONG_EPOCH
+    ahead = core.submit_local(OpKind.INSERT, position=1, atom=b"b")
+    core.outbox.clear()
+    second = initiate_flatten(core, [core]).announcement
+    assert core.epoch_buffers == {}
+    assert nebula.deliver(ahead) is DeliverResult.WRONG_EPOCH
+    nebula.receive_decision(second)
+    nebula.receive_decision(first)
+    assert sorted(nebula.announcements) == [0, 1]
+    assert nebula.maybe_catch_up() == []
+    assert nebula.replica.epoch == 2
+    assert nebula.announcements == {} and nebula.epoch_buffers == {}
+    assert list(nebula.delivered_by_epoch) == [2]
+    nebula.receive_decision(first)  # a late duplicate
+    assert nebula.announcements == {}
+    assert nebula.replica.structurally_equal(core.replica)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_duplicate_filter_matches_a_plain_identity_set(data):
+    counts = data.draw(st.lists(st.integers(1, 10), min_size=2, max_size=3))
+    origins = [b"O%d" % i for i in range(len(counts))]
+    ops = [
+        Operation(0, OpKind.INSERT, TID(origin + b"#%d" % seq), b"a", origin, seq)
+        for origin, count in zip(origins, counts)
+        for seq in range(1, count + 1)
+    ]
+    repeats = data.draw(st.lists(st.sampled_from(ops), max_size=len(ops)))
+    order = data.draw(st.permutations(ops + repeats))
+    site = Site(b"R", Role.CORE)
+    delivered: set = set()  # the model: every identity recorded so far
+    for op in order:
+        fresh = op.identity not in delivered
+        expected = DeliverResult.APPLIED if fresh else DeliverResult.DUPLICATE
+        assert site.deliver(op) is expected
+        delivered.add(op.identity)
+    assert site.delivered_exceptions == set()
+    assert site.delivered_summary == dict(zip(origins, counts))
+
+
+def test_canonical_string_is_kept_on_the_op_outside_equality():
+    op = Operation(0, OpKind.INSERT, TID(b"X"), b"x", b"X", 1)
+    twin = Operation(0, OpKind.INSERT, TID(b"X"), b"x", b"X", 1)
+    text = op.canonical()
+    assert op.canonical() is text
+    assert op == twin and hash(op) == hash(twin)
+    assert twin.canonical() == text == f"0:insert:{TID(b'X').encode().hex()}:78:58:1"
+    assert "_canonical" not in repr(op)

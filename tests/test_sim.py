@@ -1,6 +1,16 @@
+from random import Random
+
 import pytest
 
-from treedoc import CrashWindow, NonConvergenceError, OpKind, Role, SimConfig, Site
+from treedoc import (
+    CrashWindow,
+    NonConvergenceError,
+    OpKind,
+    Role,
+    SimConfig,
+    Site,
+    initiate_flatten,
+)
 from treedoc import sim
 
 
@@ -179,3 +189,66 @@ def test_config_validation():
         SimConfig(crash_schedule=(CrashWindow(9, 0, 10),)).validate()
     with pytest.raises(ValueError):
         SimConfig(crash_schedule=(CrashWindow(0, 10, 5),)).validate()
+
+
+def test_soak_site_metadata_holds_the_current_epoch_only():
+    # 30 committed epochs; at quiescence no site keeps anything of an older
+    # epoch, and the duplicate filter is one counter per origin.
+    config = SimConfig(
+        seed=4242,
+        core_count=5,
+        nebula_count=3,
+        op_count=12_000,
+        delete_ratio=0.45,
+        flatten_interval=400,
+        max_delay=8,
+        duplicate_prob=0.15,
+        drop_retry_prob=0.1,
+    )
+    result = sim.run(config)
+    assert result.converged
+    epoch = result.sites[0].replica.epoch
+    assert epoch >= 20
+    origins = {site.id for site in result.sites}
+    for site in result.sites:
+        assert site.replica.epoch == epoch
+        assert set(site.delivered_by_epoch) <= {epoch}
+        assert site.announcements == {}
+        assert all(e >= epoch for e in site.epoch_buffers)
+        assert site.delivered_exceptions == set()
+        assert set(site.delivered_summary) == origins
+        assert site.delivered_summary == {s.id: s.next_seq - 1 for s in result.sites}
+
+
+def _metadata_sizes(site: Site) -> tuple[int, ...]:
+    return (
+        len(site.delivered_summary),
+        len(site.delivered_exceptions),
+        len(site.delivered_by_epoch),
+        sum(len(ids) for ids in site.delivered_by_epoch.values()),
+        len(site.announcements),
+        len(site.epoch_buffers),
+        len(site.applied_inserts),
+        len(site.applied_deletes),
+        len(site.pending),
+        len(site.take_delivered()),
+    )
+
+
+def test_single_core_site_metadata_does_not_grow_with_history():
+    site = Site(b"A", Role.CORE)
+    rng = Random(3)
+    sizes = {}
+    for i in range(1, 20_001):
+        live = site.replica.live_count
+        if live and rng.random() < 0.3:
+            site.submit_local(OpKind.DELETE, position=rng.randrange(live))
+        else:
+            site.submit_local(OpKind.INSERT, position=rng.randint(0, live), atom=b"a")
+        site.outbox.clear()
+        if i % 1000 == 0:
+            assert initiate_flatten(site, [site]).committed
+        if i in (5_000, 20_000):
+            sizes[i] = _metadata_sizes(site)
+    assert site.replica.epoch == 20
+    assert sizes[5_000] == sizes[20_000]
