@@ -3,10 +3,17 @@
 A major node groups the mini-nodes that share one tree position; inside it
 they are kept sorted by disambiguator. Each mini-node owns its atom slot,
 its tombstone flag and its own left/right child major nodes. The document
-is the infix traversal of the live mini-nodes.
+is the infix traversal of the live mini-nodes. Every mini-node and major
+node carries ``live_size``, the number of live atoms in its subtree.
 
-Every mini-node and major node carries ``live_size``, the number of live
-atoms in its subtree, so position lookups and allocations run in O(depth).
+Three descents from the root address one node, each in O(depth):
+
+* ``_chain`` follows a TID, for ``find``, ``ancestors_exist``, ``insert``
+  and ``delete``; the last two update ``live_size`` along it.
+* ``_locate`` follows a live position, for ``tid_of_live_index`` and
+  ``alloc_tid_at_position``.
+* ``_free_slot`` goes from a node to the nearest free slot on one side of
+  it, for both allocators.
 
 All traversals are iterative: degenerate trees (right spines thousands of
 nodes deep) are a normal workload here and would blow the recursion limit.
@@ -47,6 +54,7 @@ from .tid import (
     Disambiguator,
     PathElement,
     TID,
+    _check_disambiguator,
     header_cost,
     selector_cost,
 )
@@ -140,20 +148,26 @@ class Treedoc:
 
     # -- resolution -------------------------------------------------------
 
-    def _resolve(self, tid: TID) -> Optional[MiniNode]:
-        if tid.root_disambiguator is None:
-            return None
+    def _chain(self, tid: TID) -> list[MiniNode]:
+        """The mini-nodes along ``tid``, root entry first, up to the first
+        absent one: all ``tid.depth + 1`` of them when ``tid`` is present."""
         mini = self.root.find(tid.root_disambiguator)
         if mini is None:
-            return None
+            return []
+        chain = [mini]
         for direction, dis in tid.path:
-            major = mini.child(direction)
+            major = mini.right if direction else mini.left
             if major is None:
-                return None
+                break
             mini = major.find(dis)
             if mini is None:
-                return None
-        return mini
+                break
+            chain.append(mini)
+        return chain
+
+    def _resolve(self, tid: TID) -> Optional[MiniNode]:
+        chain = self._chain(tid)
+        return chain[-1] if len(chain) > len(tid.path) else None
 
     def find(self, tid: TID) -> Optional[MiniNode]:
         """The mini-node at ``tid`` (live or tombstone), or None."""
@@ -161,23 +175,20 @@ class Treedoc:
 
     def ancestors_exist(self, tid: TID) -> bool:
         """True when every proper ancestor of ``tid`` is present."""
-        if tid.root_disambiguator is None:
-            return False
-        if not tid.path:
-            return True
-        mini = self.root.find(tid.root_disambiguator)
-        if mini is None:
-            return False
-        for direction, dis in tid.path[:-1]:
-            major = mini.child(direction)
-            if major is None:
-                return False
-            mini = major.find(dis)
-            if mini is None:
-                return False
-        return True
+        return (
+            tid.root_disambiguator is not None
+            and len(self._chain(tid)) >= len(tid.path)
+        )
 
     # -- updates ----------------------------------------------------------
+
+    def _add_live(self, tid: TID, chain: list[MiniNode], delta: int) -> None:
+        """Add ``delta`` to the root's live_size and, along ``tid``'s path,
+        to each mini of ``chain`` and the major node it leads into."""
+        self.root.live_size += delta
+        for mini, (direction, _) in zip(chain, tid.path):
+            mini.live_size += delta
+            (mini.right if direction else mini.left).live_size += delta
 
     def insert(self, tid: TID, atom: bytes) -> EffectReport:
         """Create the mini-node at ``tid``; idempotent by TID.
@@ -187,141 +198,94 @@ class Treedoc:
         """
         if tid.root_disambiguator is None:
             raise MalformedTID("cannot insert at a TID without a root disambiguator")
-        chain_minis: list[MiniNode] = []
-        chain_majors: list[MajorNode] = [self.root]
-        major = self.root
-        mini = major.find(tid.root_disambiguator)
-        if tid.path:
-            if mini is None:
-                raise MissingAncestor(f"no mini-node for root entry of {tid!r}")
-            chain_minis.append(mini)
-            for direction, dis in tid.path[:-1]:
-                major = mini.child(direction)
-                if major is None:
-                    raise MissingAncestor(f"{tid!r} crosses an absent subtree")
-                mini = major.find(dis)
-                if mini is None:
-                    raise MissingAncestor(f"{tid!r} crosses an absent mini-node")
-                chain_minis.append(mini)
-                chain_majors.append(major)
+        chain = self._chain(tid)
+        depth = len(tid.path)
+        if len(chain) > depth:
+            return EffectReport.ALREADY_PRESENT
+        if len(chain) < depth:
+            raise MissingAncestor(f"{tid!r} crosses an absent mini-node")
+        if depth:
+            parent = chain[-1]
             direction, dis = tid.path[-1]
-            major = mini.child(direction)
-            chain_majors.append(major)
-            target_dis = dis
+            major = parent.child(direction)
         else:
-            target_dis = tid.root_disambiguator
+            major, dis = self.root, tid.root_disambiguator
         if major is None:
             # A fresh child slot: an exact-size list, since flatten may reuse
             # this major node for the lifetime of the document.
-            node = MiniNode(target_dis, atom)
-            major = MajorNode([node])
-            mini.set_child(direction, major)
-            chain_majors[-1] = major
-        elif major.find(target_dis) is not None:
-            return EffectReport.ALREADY_PRESENT
+            parent.set_child(direction, MajorNode([MiniNode(dis, atom)]))
         else:
-            node = MiniNode(target_dis, atom)
-            major.add(node)
-        for m in chain_minis:
-            m.live_size += 1
-        for mj in chain_majors:
-            mj.live_size += 1
+            major.add(MiniNode(dis, atom))
+        self._add_live(tid, chain, 1)
         self.live_count += 1
         self.tid_bytes_total += tid.encoded_size()
         return EffectReport.APPLIED
 
     def delete(self, tid: TID) -> EffectReport:
         """Tombstone the mini-node at ``tid``; structure is retained."""
-        if tid.root_disambiguator is None:
-            raise MissingTarget(f"{tid!r} has no root disambiguator")
-        chain_minis: list[MiniNode] = []
-        chain_majors: list[MajorNode] = [self.root]
-        major = self.root
-        mini = major.find(tid.root_disambiguator)
-        if mini is None:
+        chain = self._chain(tid)
+        if len(chain) <= len(tid.path):
             raise MissingTarget(f"no mini-node at {tid!r}")
-        chain_minis.append(mini)
-        for direction, dis in tid.path:
-            major = mini.child(direction)
-            if major is None:
-                raise MissingTarget(f"no mini-node at {tid!r}")
-            mini = major.find(dis)
-            if mini is None:
-                raise MissingTarget(f"no mini-node at {tid!r}")
-            chain_minis.append(mini)
-            chain_majors.append(major)
+        mini = chain[-1]
         if mini.tombstone:
             return EffectReport.ALREADY_TOMBSTONE
         mini.tombstone = True
-        for m in chain_minis:
-            m.live_size -= 1
-        for mj in chain_majors:
-            mj.live_size -= 1
+        mini.live_size -= 1
+        self._add_live(tid, chain, -1)
         self.live_count -= 1
         self.tombstone_count += 1
         return EffectReport.APPLIED
 
     # -- allocation -------------------------------------------------------
 
-    def alloc_tid_after(self, left: TID, site: Disambiguator) -> TID:
-        """Fresh TID sorting immediately after ``left``.
+    @staticmethod
+    def _free_slot(
+        root_dis: Disambiguator,
+        elems: list[PathElement],
+        mini: MiniNode,
+        direction: int,
+        site: Disambiguator,
+    ) -> TID:
+        """Fresh TID in ``mini``'s child slot on side ``direction`` if it is
+        empty, else in the leftmost free slot of that child's subtree.
+        ``root_dis`` and ``elems``, extended in place, spell ``mini``'s TID."""
+        _check_disambiguator(site)
+        major = mini.right if direction else mini.left
+        while major is not None:
+            mini = major.minis[0]
+            elems.append(PathElement(direction, mini.disambiguator))
+            major = mini.left
+            direction = LEFT
+        elems.append(PathElement(direction, site))
+        return TID._make(root_dis, tuple(elems))
 
-        The right-insert rule: extend ``left`` with a right step when it has
-        no right child, otherwise take the leftmost free slot of its right
-        subtree.
-        """
+    def alloc_tid_after(self, left: TID, site: Disambiguator) -> TID:
+        """Fresh TID sorting immediately after ``left``."""
         mini = self._resolve(left)
         if mini is None:
             raise UnknownTID(f"{left!r} not present")
-        if mini.right is None:
-            return left.child(RIGHT, site)
-        elems = list(left.path)
-        major = mini.right
-        direction = RIGHT
-        while True:
-            first = major.minis[0]
-            elems.append(PathElement(direction, first.disambiguator))
-            if first.left is None:
-                elems.append(PathElement(LEFT, site))
-                return TID._make(left.root_disambiguator, tuple(elems))
-            major = first.left
-            direction = LEFT
+        root_dis, elems = left.root_disambiguator, list(left.path)
+        return self._free_slot(root_dis, elems, mini, RIGHT, site)
 
     def alloc_tid_at_position(self, index: int, site: Disambiguator) -> TID:
         """Fresh TID between live atoms ``index - 1`` and ``index``.
 
-        Index 0 allocates before everything: the leftmost free slot of the
-        whole tree (mirror image of the right-insert rule).
+        Index 0 allocates before everything: left of the first root entry.
         """
         if index < 0 or index > self.live_count:
             raise IndexOutOfRange(
                 f"position {index} outside live document of {self.live_count}"
             )
-        if index == 0:
-            if not self.root.minis:
-                return TID(site, ())
-            major = self.root
-            root_dis: Optional[Disambiguator] = None
-            elems: list[PathElement] = []
-            direction = LEFT
-            while True:
-                first = major.minis[0]
-                if root_dis is None:
-                    root_dis = first.disambiguator
-                else:
-                    elems.append(PathElement(direction, first.disambiguator))
-                if first.left is None:
-                    elems.append(PathElement(LEFT, site))
-                    return TID._make(root_dis, tuple(elems))
-                major = first.left
-        return self.alloc_tid_after(self.tid_of_live_index(index - 1), site)
+        if index:
+            return self._free_slot(*self._locate(index - 1), RIGHT, site)
+        if not self.root.minis:
+            return TID(site, ())
+        first = self.root.minis[0]
+        return self._free_slot(first.disambiguator, [], first, LEFT, site)
 
-    def tid_of_live_index(self, index: int) -> TID:
-        """TID of the ``index``-th live atom (0-based)."""
-        if index < 0 or index >= self.live_count:
-            raise IndexOutOfRange(
-                f"index {index} outside live document of {self.live_count}"
-            )
+    def _locate(self, index: int) -> tuple[Disambiguator, list[PathElement], MiniNode]:
+        """Root disambiguator, path elements and node of the ``index``-th
+        live atom, for ``0 <= index < live_count``."""
         # One element per mini descended through; the first one's direction
         # is None and its disambiguator is the root entry's.
         major = self.root
@@ -340,7 +304,7 @@ class Treedoc:
                 if not mini.tombstone:
                     if k == 0:
                         elems.append(PathElement(direction, mini.disambiguator))
-                        return TID._make(elems[0].disambiguator, tuple(elems[1:]))
+                        return elems[0].disambiguator, elems[1:], mini
                     k -= 1
                 right_size = mini.right.live_size if mini.right is not None else 0
                 if k < right_size:
@@ -351,6 +315,15 @@ class Treedoc:
                 k -= right_size
             else:
                 raise InvariantViolation("live_size bookkeeping out of sync")
+
+    def tid_of_live_index(self, index: int) -> TID:
+        """TID of the ``index``-th live atom (0-based)."""
+        if index < 0 or index >= self.live_count:
+            raise IndexOutOfRange(
+                f"index {index} outside live document of {self.live_count}"
+            )
+        root_dis, elems, _ = self._locate(index)
+        return TID._make(root_dis, tuple(elems))
 
     # -- traversal --------------------------------------------------------
 

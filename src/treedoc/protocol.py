@@ -177,11 +177,19 @@ class Decision:
     """A committed flatten, as sent to the nebula sites."""
 
     announcement: FlattenAnnouncement
+    # Logged at every receipt; the identity set is digested once.
+    _canonical: Optional[str] = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     def canonical(self) -> str:
-        ann = self.announcement
-        ids = ids_digest(ann.committed_ids)
-        return f"decision|committed|{ann.new_epoch}|{ann.doc_digest}|{ids}"
+        text = self._canonical
+        if text is None:
+            ann = self.announcement
+            ids = ids_digest(ann.committed_ids)
+            text = f"decision|committed|{ann.new_epoch}|{ann.doc_digest}|{ids}"
+            object.__setattr__(self, "_canonical", text)
+        return text
 
 
 @dataclass(frozen=True)
@@ -220,7 +228,7 @@ class Site:
         self.delivered_exceptions: set[Identity] = set()
         # Per-epoch state for this site's epoch and later ones only; entries
         # below it are dropped when the site changes epoch. The buffers hold
-        # ops for other epochs, kept for catch-up and deduplicated.
+        # ops of later epochs, deduplicated, until the site enters them.
         self.epoch_buffers: dict[int, dict[Identity, Operation]] = {}
         self.delivered_by_epoch: dict[int, set[Identity]] = {}
         self.announcements: dict[int, FlattenAnnouncement] = {}
@@ -303,7 +311,9 @@ class Site:
         """Replay a remote operation, buffering until causally ready.
 
         Any number of redeliveries of the same message leaves the replica
-        unchanged; out-of-epoch operations are stored for catch-up.
+        unchanged. Operations of a later epoch wait in ``epoch_buffers``
+        until this site reaches it. Those of an earlier epoch are dropped:
+        what the core did not commit, its origin's catch-up sends again.
         """
         ident = op.identity
         if op.origin_seq <= self.delivered_summary.get(op.origin, 0):
@@ -311,7 +321,8 @@ class Site:
         if ident in self.delivered_exceptions:
             return DeliverResult.DUPLICATE
         if op.epoch != self.replica.epoch:
-            self.epoch_buffers.setdefault(op.epoch, {}).setdefault(ident, op)
+            if op.epoch > self.replica.epoch:
+                self.epoch_buffers.setdefault(op.epoch, {}).setdefault(ident, op)
             return DeliverResult.WRONG_EPOCH
         if ident in self._pending_ids:
             return DeliverResult.DUPLICATE

@@ -214,10 +214,9 @@ class TID:
         """len(self.encode()) without building the bytes."""
         if self.root_disambiguator is None:
             return 1  # varint 0
-        size = header_cost(len(self.path) + 1)
-        size += _varint_len(len(self.root_disambiguator)) + len(self.root_disambiguator)
+        size = header_cost(len(self.path) + 1) + selector_cost(self.root_disambiguator)
         for _, dis in self.path:
-            size += _varint_len(len(dis)) + len(dis)
+            size += selector_cost(dis)
         return size
 
 
@@ -272,5 +271,7 @@ def header_cost(pairs: int) -> int:
 
 
 def selector_cost(dis: Disambiguator) -> int:
-    """Encoded cost of one disambiguator inside a TID."""
-    return _varint_len(len(dis)) + len(dis)
+    """Encoded cost of one disambiguator inside a TID: its varint length
+    (one byte below 128) and its bytes."""
+    n = len(dis)
+    return n + 1 if n < 0x80 else n + _varint_len(n)

@@ -1,23 +1,30 @@
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from treedoc import (
     LEFT,
     RIGHT,
     EffectReport,
     IndexOutOfRange,
+    MalformedTID,
     MissingAncestor,
     MissingTarget,
+    OpKind,
     PathElement,
+    Role,
+    Site,
     TID,
     Treedoc,
     UnknownTID,
+    flatten_local,
 )
 from treedoc.core import path_tid
 
 from conftest import (
     ABCDEF_PATHS,
+    MULTISITE_SITES,
     build_abcdef,
     deep_spine_doc,
     multisite_doc,
@@ -174,6 +181,60 @@ def test_tid_of_live_index_round_trip():
         assert doc.tid_of_live_index(i) == t
 
 
+def test_allocation_rejects_an_empty_site(abcdef_doc):
+    for doc in (abcdef_doc, Treedoc()):
+        for i in range(doc.live_count + 1):
+            with pytest.raises(MalformedTID):
+                doc.alloc_tid_at_position(i, b"")
+    for bits in ((), (1, 1)):  # "c" has a right subtree, "f" an empty slot
+        with pytest.raises(MalformedTID):
+            abcdef_doc.alloc_tid_after(tid(bits), b"")
+
+
+def concurrent_edits(doc: Treedoc, rng: Random, n_ops: int) -> Treedoc:
+    """Random edits where up to three sites insert at one position at once,
+    each allocating before any inserts, so their nodes share a major node."""
+    for _ in range(n_ops):
+        live = doc.live_count
+        if live and rng.random() < 0.3:
+            doc.delete(doc.tid_of_live_index(rng.randrange(live)))
+            continue
+        pos = rng.randint(0, live)
+        sites = rng.sample(MULTISITE_SITES, rng.randint(1, 3))
+        for t in [doc.alloc_tid_at_position(pos, site) for site in sites]:
+            doc.insert(t, b"x")
+    return doc
+
+
+ALLOC_DOCS = {
+    "random": random_doc,
+    "multisite": multisite_doc,
+    "concurrent": lambda rng, n: concurrent_edits(Treedoc(), rng, n),
+    "flattened": lambda rng, n: concurrent_edits(
+        flatten_local(concurrent_edits(Treedoc(), rng, n)).new_doc, rng, n // 3
+    ),
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    shape=st.sampled_from(sorted(ALLOC_DOCS)),
+    seed=st.integers(0, 2**32 - 1),
+    n_ops=st.integers(0, 120),
+)
+def test_position_allocation_is_allocation_after_the_left_neighbour(shape, seed, n_ops):
+    doc = ALLOC_DOCS[shape](Random(seed), n_ops)
+    everything = [t for t, _ in doc.walk()]
+    live = [t for t, m in doc.walk() if not m.tombstone]
+    first = doc.alloc_tid_at_position(0, b"Z")
+    assert not everything or first < everything[0]
+    for i in range(1, len(live) + 1):
+        fresh = doc.alloc_tid_at_position(i, b"Z")
+        assert fresh == doc.alloc_tid_after(doc.tid_of_live_index(i - 1), b"Z")
+        assert live[i - 1] < fresh
+        assert i == len(live) or fresh < live[i]
+
+
 # -- measurement -------------------------------------------------------------
 
 
@@ -200,6 +261,66 @@ def test_cached_counters_match_recount():
     for _ in range(10):
         doc = random_doc(rng, 150, delete_ratio=0.45)
         assert doc.counters_consistent()
+
+
+def assert_live_sizes_recount(doc: Treedoc) -> None:
+    """Every node's ``live_size`` equals a count of its subtree."""
+    order, stack = [], [doc.root]
+    while stack:
+        major = stack.pop()
+        order.append(major)
+        stack.extend(c for m in major.minis for c in (m.left, m.right) if c)
+    sizes = {}
+    for major in reversed(order):  # children before parents
+        total = 0
+        for mini in major.minis:
+            below = [sizes[id(c)] for c in (mini.left, mini.right) if c]
+            size = (not mini.tombstone) + sum(below)
+            assert mini.live_size == size
+            total += size
+        sizes[id(major)] = total
+        assert major.live_size == total
+    assert doc.root.live_size == doc.live_count
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(0, 2),
+            st.sampled_from(["edit", "deliver", "duplicate"]),
+            st.integers(0, 2**16),
+        ),
+        max_size=120,
+    )
+)
+def test_live_sizes_match_a_recount_through_a_multisite_history(steps):
+    # Remote ops arrive in random order (so some wait in ``pending``) and
+    # are redelivered at random, from three sites editing concurrently.
+    sites = [Site(dis, Role.CORE) for dis in MULTISITE_SITES[:3]]
+    inbox = [[] for _ in sites]
+    seen = [[] for _ in sites]
+    for who, action, r in steps:
+        site = sites[who]
+        if action == "edit":
+            live = site.replica.live_count
+            if live and r % 3 == 0:
+                op = site.submit_local(OpKind.DELETE, position=r % live)
+            else:
+                pos = r % (live + 1)
+                op = site.submit_local(OpKind.INSERT, position=pos, atom=b"x")
+            site.outbox.clear()
+            for k in range(len(sites)):
+                if k != who:
+                    inbox[k].append(op)
+        elif action == "deliver" and inbox[who]:
+            op = inbox[who].pop(r % len(inbox[who]))
+            site.deliver(op)
+            seen[who].append(op)
+        elif action == "duplicate" and seen[who]:
+            site.deliver(seen[who][r % len(seen[who])])
+        for other in sites:
+            assert_live_sizes_recount(other.replica)
 
 
 def test_mean_tid_bytes_matches_encoding(abcdef_doc):

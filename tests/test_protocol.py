@@ -20,7 +20,7 @@ from treedoc import (
     ids_digest,
     initiate_flatten,
 )
-from treedoc.protocol import PrepareMessage
+from treedoc.protocol import Decision, PrepareMessage
 
 from conftest import build_abcdef, tid
 
@@ -137,14 +137,18 @@ def test_deliver_duplicate_while_buffered():
     assert len(site.pending) == 1
 
 
-def test_deliver_wrong_epoch_is_buffered_for_catch_up():
+def test_deliver_from_an_earlier_epoch_is_dropped():
     site = Site(b"B", Role.CORE)
+    site.submit_local(OpKind.INSERT, position=0, atom=b"b")
+    site.outbox.clear()
     initiate_flatten(site, [site])
     assert site.replica.epoch == 1
+    before = site.replica.state_digest()
     stale = Operation(0, OpKind.INSERT, TID(b"X"), b"x", b"X", 1)
     assert site.deliver(stale) is DeliverResult.WRONG_EPOCH
-    assert stale.identity in site.epoch_buffers[0]
-    assert site.replica.text() == ""
+    assert site.epoch_buffers == {}
+    assert site.replica.state_digest() == before
+    assert site.replica.text() == "b"
 
 
 def test_any_delivery_order_converges():
@@ -298,6 +302,27 @@ def test_epoch_isolation_never_applies_across_epochs():
     before = site.replica.state_digest()
     assert site.deliver(newer) is DeliverResult.WRONG_EPOCH
     assert site.replica.state_digest() == before
+
+
+def test_decision_digests_its_identity_set_once(monkeypatch):
+    site = Site(b"A", Role.CORE)
+    site.submit_local(OpKind.INSERT, position=0, atom=b"a")
+    site.outbox.clear()
+    ann = initiate_flatten(site, [site]).announcement
+    real = protocol.ids_digest
+    calls = []
+
+    def counted(ids):
+        calls.append(ids)
+        return real(ids)
+
+    monkeypatch.setattr(protocol, "ids_digest", counted)
+    decision = Decision(ann)
+    receipts = [decision.canonical() for _ in range(3)]
+    assert len(calls) == 1
+    ids = real(ann.committed_ids)
+    assert receipts == [f"decision|committed|1|{ann.doc_digest}|{ids}"] * 3
+    assert decision == Decision(ann)
 
 
 # -- colors ---------------------------------------------------------------------
