@@ -10,10 +10,11 @@ Three descents from the root address one node, each in O(depth):
 
 * ``_chain`` follows a TID, for ``find``, ``ancestors_exist``, ``insert``
   and ``delete``; the last two update ``live_size`` along it.
-* ``_locate`` follows a live position, for ``tid_of_live_index`` and
-  ``alloc_tid_at_position``.
-* ``_free_slot`` goes from a node to the nearest free slot on one side of
-  it, for both allocators.
+* ``_locate`` follows a live position, for ``tid_of_live_index``,
+  ``alloc_tid_at_position`` and the position-addressed edits ``insert_at``
+  and ``delete_at``, which update the nodes it passed without a second walk.
+* ``_free_slot`` extends a descent to the nearest free slot on one side of
+  its last node, for both allocators and ``insert_at``.
 
 All traversals are iterative: degenerate trees (right spines thousands of
 nodes deep) are a normal workload here and would blow the recursion limit.
@@ -84,9 +85,6 @@ class MiniNode:
         self.right: Optional[MajorNode] = None
         self.live_size = 1
 
-    def child(self, direction: int) -> Optional["MajorNode"]:
-        return self.right if direction else self.left
-
     def set_child(self, direction: int, major: "MajorNode") -> None:
         if direction:
             self.right = major
@@ -116,6 +114,14 @@ class MajorNode:
         insort(self.minis, mini, key=lambda m: m.disambiguator)
 
 
+class _Elements(dict):
+    """Disambiguator -> its (left, right) path elements, made once per replica."""
+
+    def __missing__(self, dis: Disambiguator) -> tuple[PathElement, PathElement]:
+        pair = self[dis] = (PathElement(LEFT, dis), PathElement(RIGHT, dis))
+        return pair
+
+
 @dataclass(frozen=True)
 class DocStats:
     live_count: int
@@ -133,10 +139,13 @@ class Treedoc:
     suite checks that.
     """
 
-    __slots__ = ("root", "epoch", "live_count", "tombstone_count", "tid_bytes_total")
+    __slots__ = (
+        "root", "epoch", "live_count", "tombstone_count", "tid_bytes_total", "_elements"
+    )
 
     def __init__(self, epoch: int = 0):
         self.root = MajorNode()
+        self._elements = _Elements()
         self.epoch = epoch
         self.live_count = 0
         self.tombstone_count = 0
@@ -182,13 +191,47 @@ class Treedoc:
 
     # -- updates ----------------------------------------------------------
 
-    def _add_live(self, tid: TID, chain: list[MiniNode], delta: int) -> None:
-        """Add ``delta`` to the root's live_size and, along ``tid``'s path,
-        to each mini of ``chain`` and the major node it leads into."""
+    def _add_live(self, chain: list[MiniNode], path: Sequence, delta: int) -> int:
+        """Add ``delta`` to the root's live_size and, along ``path``, to each
+        mini of ``chain`` and the major node it leads into; returns ``path``'s
+        selector cost."""
         self.root.live_size += delta
-        for mini, (direction, _) in zip(chain, tid.path):
+        cost = 0
+        for mini, (direction, dis) in zip(chain, path):
             mini.live_size += delta
             (mini.right if direction else mini.left).live_size += delta
+            cost += selector_cost(dis)
+        return cost
+
+    def _link(self, tid: TID, chain: list[MiniNode], atom: bytes) -> None:
+        """Link and count a live mini-node at the free slot ``tid``; ``chain``
+        holds the mini each element of its path steps out of."""
+        if tid.path:
+            parent = chain[-1]
+            direction, dis = tid.path[-1]
+            major = parent.right if direction else parent.left
+        else:
+            major, dis = self.root, tid.root_disambiguator
+        if major is None:
+            # A fresh child slot: an exact-size list, since flatten may reuse
+            # this major node for the lifetime of the document.
+            parent.set_child(direction, MajorNode([MiniNode(dis, atom)]))
+        else:
+            major.add(MiniNode(dis, atom))
+        cost = header_cost(len(tid.path) + 1) + selector_cost(tid.root_disambiguator)
+        self.tid_bytes_total += cost + self._add_live(chain, tid.path, 1)
+        self.live_count += 1
+
+    def _tombstone(self, chain: list[MiniNode], path: Sequence) -> EffectReport:
+        mini = chain[-1]
+        if mini.tombstone:
+            return EffectReport.ALREADY_TOMBSTONE
+        mini.tombstone = True
+        mini.live_size -= 1
+        self._add_live(chain, path, -1)
+        self.live_count -= 1
+        self.tombstone_count += 1
+        return EffectReport.APPLIED
 
     def insert(self, tid: TID, atom: bytes) -> EffectReport:
         """Create the mini-node at ``tid``; idempotent by TID.
@@ -204,21 +247,7 @@ class Treedoc:
             return EffectReport.ALREADY_PRESENT
         if len(chain) < depth:
             raise MissingAncestor(f"{tid!r} crosses an absent mini-node")
-        if depth:
-            parent = chain[-1]
-            direction, dis = tid.path[-1]
-            major = parent.child(direction)
-        else:
-            major, dis = self.root, tid.root_disambiguator
-        if major is None:
-            # A fresh child slot: an exact-size list, since flatten may reuse
-            # this major node for the lifetime of the document.
-            parent.set_child(direction, MajorNode([MiniNode(dis, atom)]))
-        else:
-            major.add(MiniNode(dis, atom))
-        self._add_live(tid, chain, 1)
-        self.live_count += 1
-        self.tid_bytes_total += tid.encoded_size()
+        self._link(tid, chain, atom)
         return EffectReport.APPLIED
 
     def delete(self, tid: TID) -> EffectReport:
@@ -226,104 +255,102 @@ class Treedoc:
         chain = self._chain(tid)
         if len(chain) <= len(tid.path):
             raise MissingTarget(f"no mini-node at {tid!r}")
-        mini = chain[-1]
-        if mini.tombstone:
-            return EffectReport.ALREADY_TOMBSTONE
-        mini.tombstone = True
-        mini.live_size -= 1
-        self._add_live(tid, chain, -1)
-        self.live_count -= 1
-        self.tombstone_count += 1
-        return EffectReport.APPLIED
+        return self._tombstone(chain, tid.path)
+
+    def insert_at(self, index: int, site: Disambiguator, atom: bytes) -> TID:
+        """``insert(alloc_tid_at_position(index, site), atom)`` in one descent."""
+        tid, chain = self._position_slot(index, site)
+        self._link(tid, chain, atom)
+        return tid
+
+    def delete_at(self, index: int) -> TID:
+        """``delete(tid_of_live_index(index))`` in one descent."""
+        chain, path = self._locate(index)
+        self._tombstone(chain, path)
+        return TID._make(chain[0].disambiguator, tuple(path))
 
     # -- allocation -------------------------------------------------------
 
-    @staticmethod
-    def _free_slot(
-        root_dis: Disambiguator,
-        elems: list[PathElement],
-        mini: MiniNode,
-        direction: int,
-        site: Disambiguator,
-    ) -> TID:
-        """Fresh TID in ``mini``'s child slot on side ``direction`` if it is
-        empty, else in the leftmost free slot of that child's subtree.
-        ``root_dis`` and ``elems``, extended in place, spell ``mini``'s TID."""
+    def _free_slot(self, chain: list, path: list, direction: int, site: bytes) -> TID:
+        """Fresh TID at the free slot beside ``chain[-1]`` on side ``direction``;
+        extends ``chain`` and ``path`` (``chain[-1]``'s TID) down to it."""
         _check_disambiguator(site)
-        major = mini.right if direction else mini.left
+        elements = self._elements
+        major = chain[-1].right if direction else chain[-1].left
         while major is not None:
             mini = major.minis[0]
-            elems.append(PathElement(direction, mini.disambiguator))
+            chain.append(mini)
+            path.append(elements[mini.disambiguator][direction])
             major = mini.left
             direction = LEFT
-        elems.append(PathElement(direction, site))
-        return TID._make(root_dis, tuple(elems))
+        path.append(elements[site][direction])
+        return TID._make(chain[0].disambiguator, tuple(path))
 
     def alloc_tid_after(self, left: TID, site: Disambiguator) -> TID:
         """Fresh TID sorting immediately after ``left``."""
-        mini = self._resolve(left)
-        if mini is None:
+        chain = self._chain(left)
+        if len(chain) <= len(left.path):
             raise UnknownTID(f"{left!r} not present")
-        root_dis, elems = left.root_disambiguator, list(left.path)
-        return self._free_slot(root_dis, elems, mini, RIGHT, site)
+        return self._free_slot(chain, list(left.path), RIGHT, site)
+
+    def _position_slot(self, index: int, site: Disambiguator) -> tuple[TID, list]:
+        """Fresh TID between live atoms ``index - 1`` and ``index``, and the
+        chain its path steps out of. Index 0 is left of the first root entry."""
+        if index < 0 or index > self.live_count:
+            raise IndexOutOfRange(f"position {index} outside 0..{self.live_count}")
+        if index:
+            chain, path = self._locate(index - 1)
+            return self._free_slot(chain, path, RIGHT, site), chain
+        if not self.root.minis:
+            return TID(site, ()), []
+        chain = [self.root.minis[0]]
+        return self._free_slot(chain, [], LEFT, site), chain
 
     def alloc_tid_at_position(self, index: int, site: Disambiguator) -> TID:
-        """Fresh TID between live atoms ``index - 1`` and ``index``.
+        """Fresh TID between live atoms ``index - 1`` and ``index``."""
+        return self._position_slot(index, site)[0]
 
-        Index 0 allocates before everything: left of the first root entry.
-        """
-        if index < 0 or index > self.live_count:
-            raise IndexOutOfRange(
-                f"position {index} outside live document of {self.live_count}"
-            )
-        if index:
-            return self._free_slot(*self._locate(index - 1), RIGHT, site)
-        if not self.root.minis:
-            return TID(site, ())
-        first = self.root.minis[0]
-        return self._free_slot(first.disambiguator, [], first, LEFT, site)
-
-    def _locate(self, index: int) -> tuple[Disambiguator, list[PathElement], MiniNode]:
-        """Root disambiguator, path elements and node of the ``index``-th
-        live atom, for ``0 <= index < live_count``."""
-        # One element per mini descended through; the first one's direction
-        # is None and its disambiguator is the root entry's.
+    def _locate(self, index: int) -> tuple[list[MiniNode], list[PathElement]]:
+        """The mini-nodes from the root entry down to the ``index``-th live
+        atom, and the path elements below the root entry that lead to them."""
+        if index < 0 or index >= self.live_count:
+            raise IndexOutOfRange(f"index {index} outside {self.live_count} live atoms")
         major = self.root
-        elems: list[PathElement] = []
-        direction: Optional[int] = None
-        k = index
+        chain: list[MiniNode] = []
+        path: list[PathElement] = []
+        elements = self._elements
+        k, direction = index, None
         while True:
             for mini in major.minis:
                 left_size = mini.left.live_size if mini.left is not None else 0
                 if k < left_size:
-                    elems.append(PathElement(direction, mini.disambiguator))
-                    major = mini.left
-                    direction = LEFT
+                    side = LEFT
                     break
                 k -= left_size
                 if not mini.tombstone:
                     if k == 0:
-                        elems.append(PathElement(direction, mini.disambiguator))
-                        return elems[0].disambiguator, elems[1:], mini
+                        side = None
+                        break
                     k -= 1
                 right_size = mini.right.live_size if mini.right is not None else 0
                 if k < right_size:
-                    elems.append(PathElement(direction, mini.disambiguator))
-                    major = mini.right
-                    direction = RIGHT
+                    side = RIGHT
                     break
                 k -= right_size
             else:
                 raise InvariantViolation("live_size bookkeeping out of sync")
+            if chain:
+                path.append(elements[mini.disambiguator][direction])
+            chain.append(mini)
+            if side is None:
+                return chain, path
+            major = mini.right if side else mini.left
+            direction = side
 
     def tid_of_live_index(self, index: int) -> TID:
         """TID of the ``index``-th live atom (0-based)."""
-        if index < 0 or index >= self.live_count:
-            raise IndexOutOfRange(
-                f"index {index} outside live document of {self.live_count}"
-            )
-        root_dis, elems, _ = self._locate(index)
-        return TID._make(root_dis, tuple(elems))
+        chain, path = self._locate(index)
+        return TID._make(chain[0].disambiguator, tuple(path))
 
     # -- traversal --------------------------------------------------------
 

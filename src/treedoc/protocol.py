@@ -26,7 +26,9 @@ from enum import Enum
 from typing import Callable, Iterable, Optional
 
 from .core import EffectReport, MajorNode, MiniNode, Treedoc, path_tid
-from .errors import EpochMismatch, InvariantViolation, ProtocolError
+from .errors import (
+    EpochMismatch, InvariantViolation, MissingAncestor, MissingTarget, ProtocolError
+)
 from .flatten import build_balanced, flat_digest, flatten_for_commit
 from .tid import LEFT, RIGHT, Disambiguator, TID
 
@@ -256,21 +258,24 @@ class Site:
         atom: Optional[bytes] = None,
     ) -> Operation:
         """Initiate an update here: allocate, apply, stamp, queue for dispatch."""
-        if kind is OpKind.INSERT:
-            if atom is None:
-                raise ProtocolError("insert needs an atom")
-            if tid is None:
-                tid = self.replica.alloc_tid_at_position(position, self.id)
-        else:
-            if atom is not None:
-                raise ProtocolError("delete carries no atom")
-            if tid is None:
-                tid = self.replica.tid_of_live_index(position)
+        if kind is OpKind.INSERT and atom is None:
+            raise ProtocolError("insert needs an atom")
+        if kind is OpKind.DELETE and atom is not None:
+            raise ProtocolError("delete carries no atom")
+        by_tid = tid is not None
+        if not by_tid:
+            if position is None:
+                raise ProtocolError(f"local {kind.value} needs a position or a TID")
+            if kind is OpKind.INSERT:
+                tid = self.replica.insert_at(position, self.id, atom)
+            else:
+                tid = self.replica.delete_at(position)
         op = Operation(self.replica.epoch, kind, tid, atom, self.id, self.next_seq)
         self.next_seq += 1
-        result = self._apply(op)
-        if result is not EffectReport.APPLIED:
-            raise ProtocolError(f"local {kind.value} was not fresh: {result}")
+        if by_tid:
+            result = self._apply(op)
+            if result is not EffectReport.APPLIED:
+                raise ProtocolError(f"local {kind.value} was not fresh: {result}")
         self._record(op)
         self.outbox.append(op)
         return op
@@ -326,20 +331,22 @@ class Site:
             return DeliverResult.WRONG_EPOCH
         if ident in self._pending_ids:
             return DeliverResult.DUPLICATE
-        if causal_ready(self.replica, op):
+        # The replica raises, unchanged, on an op that is not causally ready.
+        try:
             result = self._apply(op)
-            self._record(op)
-            # Even when the effect already existed (a concurrent delete beat
-            # this one to the same node), the identity is news and must keep
-            # propagating, or other sites would wait on it forever.
-            self._delivered_since_take.append(op)
-            self._drain_pending()
-            if result is not EffectReport.APPLIED:
-                return DeliverResult.DUPLICATE
-            return DeliverResult.APPLIED
-        self.pending.append(op)
-        self._pending_ids.add(ident)
-        return DeliverResult.BUFFERED
+        except (MissingAncestor, MissingTarget):
+            self.pending.append(op)
+            self._pending_ids.add(ident)
+            return DeliverResult.BUFFERED
+        self._record(op)
+        # Even when the effect already existed (a concurrent delete beat
+        # this one to the same node), the identity is news and must keep
+        # propagating, or other sites would wait on it forever.
+        self._delivered_since_take.append(op)
+        self._drain_pending()
+        if result is not EffectReport.APPLIED:
+            return DeliverResult.DUPLICATE
+        return DeliverResult.APPLIED
 
     def _drain_pending(self) -> None:
         progress = True
@@ -347,14 +354,15 @@ class Site:
             progress = False
             still: list[Operation] = []
             for op in self.pending:
-                if causal_ready(self.replica, op):
+                try:
                     self._apply(op)
-                    self._record(op)
-                    self._pending_ids.discard(op.identity)
-                    self._delivered_since_take.append(op)
-                    progress = True
-                else:
+                except (MissingAncestor, MissingTarget):
                     still.append(op)
+                    continue
+                self._record(op)
+                self._pending_ids.discard(op.identity)
+                self._delivered_since_take.append(op)
+                progress = True
             self.pending = still
 
     def take_delivered(self) -> list[Operation]:
@@ -665,7 +673,7 @@ def _gap_slot(skeleton: list[MiniNode], gap: int) -> tuple[MiniNode, int]:
 
 
 def _attach_at(parent: MiniNode, direction: int, root: MiniNode) -> None:
-    if parent.child(direction) is not None:
+    if (parent.right if direction else parent.left) is not None:
         raise InvariantViolation(f"catch-up slot under {parent!r} is taken")
     parent.set_child(direction, MajorNode([root]))
 

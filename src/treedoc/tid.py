@@ -190,25 +190,28 @@ class TID:
 
     @classmethod
     def decode(cls, data: bytes) -> "TID":
+        """Inverse of ``encode``; MalformedTID for bytes it never produces."""
+        data = bytes(data)
         try:
             count, pos = _decode_varint(data, 0)
-            nbits = (count + 7) // 8
-            bits = data[pos : pos + nbits]
-            pos += nbits
-            dirs = [(bits[i // 8] >> (i % 8)) & 1 for i in range(count)]
-            diss: list[bytes] = []
-            for _ in range(count):
+            bits = pos
+            pos += (count + 7) // 8
+            # The root pair's direction bit and the padding bits are zero.
+            if count and (data[bits] & 1 or data[pos - 1] >> ((count - 1) % 8 + 1)):
+                raise MalformedTID("stray direction bits in encoded TID")
+            pairs = []
+            for i in range(count):
                 length, pos = _decode_varint(data, pos)
-                diss.append(data[pos : pos + length])
+                if not length:
+                    raise MalformedTID("empty disambiguator in encoded TID")
+                dis = data[pos : pos + length]
                 pos += length
+                pairs.append(PathElement(data[bits + (i >> 3)] >> (i & 7) & 1, dis))
         except IndexError:
             raise MalformedTID("truncated TID encoding") from None
         if pos != len(data):
-            raise MalformedTID("trailing bytes after encoded TID")
-        if count == 0:
-            return cls(None, ())
-        path = tuple(PathElement(d, dis) for d, dis in zip(dirs[1:], diss[1:]))
-        return cls(diss[0], path)
+            raise MalformedTID("encoded TID length does not match its contents")
+        return cls._make(pairs[0][1] if pairs else None, tuple(pairs[1:]))
 
     def encoded_size(self) -> int:
         """len(self.encode()) without building the bytes."""
@@ -253,6 +256,8 @@ def _decode_varint(data: bytes, pos: int) -> tuple[int, int]:
         pos += 1
         result |= (byte & 0x7F) << shift
         if not byte & 0x80:
+            if not byte and shift:
+                raise MalformedTID("overlong varint in encoded TID")
             return result, pos
         shift += 7
 

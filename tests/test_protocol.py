@@ -9,6 +9,7 @@ from treedoc import (
     DeliverResult,
     EffectReport,
     InvariantViolation,
+    MalformedTID,
     OpKind,
     Operation,
     ProtocolError,
@@ -848,3 +849,40 @@ def test_canonical_string_is_kept_on_the_op_outside_equality():
     assert op == twin and hash(op) == hash(twin)
     assert twin.canonical() == text == f"0:insert:{TID(b'X').encode().hex()}:78:58:1"
     assert "_canonical" not in repr(op)
+
+
+def test_submit_needs_a_position_or_a_tid():
+    site = Site(b"A", Role.CORE)
+    site.submit_local(OpKind.INSERT, position=0, atom=b"x")
+    for kind, atom in ((OpKind.INSERT, b"y"), (OpKind.DELETE, None)):
+        with pytest.raises(ProtocolError, match="position or a TID"):
+            site.submit_local(kind, atom=atom)
+    assert site.next_seq == 2
+    assert site.replica.text() == "x"
+
+
+def test_deliver_rejects_a_rootless_insert_instead_of_buffering_it():
+    site = Site(b"A", Role.CORE)
+    site.submit_local(OpKind.INSERT, position=0, atom=b"a")
+    site.outbox.clear()
+    with pytest.raises(MalformedTID):
+        site.deliver(Operation(0, OpKind.INSERT, TID(None, ()), b"x", b"b", 1))
+    assert not site.pending
+    assert site.replica.text() == "a"
+    # Nothing is left waiting that could block the next commit round.
+    assert initiate_flatten(site, [site]).committed
+
+
+def test_deliver_walks_each_remote_op_once_per_attempt(monkeypatch):
+    origin, first, second = _chain_ops()
+    site = Site(b"R", Role.CORE)
+    walks = []
+    chain = type(site.replica)._chain
+    monkeypatch.setattr(
+        type(site.replica), "_chain", lambda doc, t: walks.append(t) or chain(doc, t)
+    )
+    assert site.deliver(second) is DeliverResult.BUFFERED
+    assert walks == [second.tid]
+    assert site.deliver(first) is DeliverResult.APPLIED
+    assert walks == [second.tid, first.tid, second.tid]
+    assert site.replica.text() == "pq"

@@ -145,3 +145,59 @@ def test_tid_is_immutable():
     t = tid((0,))
     with pytest.raises(AttributeError):
         t.path = ()
+
+
+def _corrupt(data: bytes, i: int, bit: int, overlong: bool) -> bytes:
+    """Flip one bit of ``data``, or spell one of its bytes as a two-byte
+    varint of the same value."""
+    out = bytearray(data)
+    i %= len(out)
+    if overlong:
+        out[i : i + 1] = bytes([out[i] | 0x80, 0])
+    else:
+        out[i] ^= 1 << bit
+    return bytes(out)
+
+
+ENCODINGS = st.one_of(
+    st.binary(max_size=24),
+    st.builds(
+        _corrupt,
+        TIDS.map(TID.encode),
+        st.integers(0, 63),
+        st.integers(0, 7),
+        st.booleans(),
+    ),
+)
+
+
+@given(ENCODINGS)
+def test_decode_accepts_only_what_encode_produces(data):
+    try:
+        decoded = TID.decode(data)
+    except MalformedTID:
+        return
+    assert decoded.encode() == data
+
+
+@given(TIDS)
+def test_decode_round_trips_to_an_equal_tid(t):
+    decoded = TID.decode(t.encode())
+    assert decoded == t and hash(decoded) == hash(t)
+    assert all(type(e) is PathElement for e in decoded.path)
+
+
+@pytest.mark.parametrize(
+    "hex_bytes",
+    [
+        "01010161",  # the root pair's direction bit is set
+        "01800161",  # a padding bit is set
+        "0100810061",  # the disambiguator's length is an overlong varint
+        "800001",  # an overlong pair count
+        "0100" "00",  # an empty disambiguator
+    ],
+)
+def test_decode_rejects_non_canonical_spellings(hex_bytes):
+    with pytest.raises(MalformedTID):
+        TID.decode(bytes.fromhex(hex_bytes))
+    assert TID.decode(bytes.fromhex("01000161")) == TID(b"a")
