@@ -22,14 +22,12 @@ Three passes cover the whole tree:
 
 * ``iter_nodes``, document (infix, i.e. TID) order, builds a TID only on
   request (``path_tid``). ``walk``, ``pretty``, ``state_digest``,
-  ``flatten_local``, catch-up's emission and the simulator's convergence
-  check read it.
+  ``flatten_local``, catch-up's collect and emission steps (``protocol``)
+  and the simulator's convergence check read it.
 * ``live_nodes``, the live nodes only, serves flatten's commit path and
   ``atoms``/``text`` with no per-node bookkeeping.
 * ``_count``, a pre-order recount, serves ``stats`` and
   ``recompute_counters``.
-
-Catch-up's collect step (``protocol``) is the one other walk: it prunes.
 """
 
 from __future__ import annotations

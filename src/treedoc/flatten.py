@@ -11,7 +11,8 @@ There is one builder, ``build_balanced``, and two ways in:
 * ``flatten_for_commit`` (the commit path) consumes its replica: one walk
   gathers the live mini-nodes, and the builder relinks those same nodes,
   reusing each one's major node when it holds nothing else. The old tree
-  is unusable afterwards.
+  is unusable afterwards. A nebula site's catch-up (``protocol``) relinks
+  its replica's own cyan skeleton the same way.
 * ``flatten_local`` and ``build_balanced`` over ``(atom, disambiguator)``
   entries leave their input untouched: they relink fresh mini-nodes.
 

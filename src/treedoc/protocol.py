@@ -13,9 +13,10 @@ delivered-set digest mismatch, or a non-empty outbox/pending buffer)
 votes no and the flatten aborts with no effect.
 
 Epochs: each committed flatten opens a new epoch and invalidates old
-TIDs. Operations carry their epoch and are buffered, never applied, by a
-replica in a different epoch. A lagging nebula site re-enters the current
-epoch through the cyan/black catch-up translation below.
+TIDs. Operations carry their epoch and apply only in it: a replica buffers
+those of a later epoch and drops those of an earlier one. A lagging nebula
+site re-enters the current epoch through the cyan/black catch-up below,
+which sends its uncommitted operations again under new TIDs.
 """
 
 from __future__ import annotations
@@ -220,8 +221,8 @@ class Site:
         self.replica = Treedoc()
         self.next_seq = 1
         self.outbox: list[Operation] = []
-        self.pending: list[Operation] = []
-        self._pending_ids: set[Identity] = set()
+        # Causally unready ops, in arrival order (the order they are retried).
+        self.pending: dict[Identity, Operation] = {}
         # Duplicate filter, exact: an identity was recorded iff its seq is at
         # most its origin's counter (every seq up to it arrived) or it is in
         # the exception set (it arrived above its origin's counter, out of
@@ -231,8 +232,10 @@ class Site:
         # Per-epoch state for this site's epoch and later ones only; entries
         # below it are dropped when the site changes epoch. The buffers hold
         # ops of later epochs, deduplicated, until the site enters them.
+        # ``epoch_ids`` holds the identities recorded in the current epoch: a
+        # site records only ops of its own epoch.
         self.epoch_buffers: dict[int, dict[Identity, Operation]] = {}
-        self.delivered_by_epoch: dict[int, set[Identity]] = {}
+        self.epoch_ids: set[Identity] = set()
         self.announcements: dict[int, FlattenAnnouncement] = {}
         self._digest_memo: tuple[tuple[int, int], str] = ((-1, -1), "")
         # Nebula only, read by catch-up: TID -> identities of the ops that
@@ -254,7 +257,6 @@ class Site:
         kind: OpKind,
         *,
         position: Optional[int] = None,
-        tid: Optional[TID] = None,
         atom: Optional[bytes] = None,
     ) -> Operation:
         """Initiate an update here: allocate, apply, stamp, queue for dispatch."""
@@ -262,20 +264,14 @@ class Site:
             raise ProtocolError("insert needs an atom")
         if kind is OpKind.DELETE and atom is not None:
             raise ProtocolError("delete carries no atom")
-        by_tid = tid is not None
-        if not by_tid:
-            if position is None:
-                raise ProtocolError(f"local {kind.value} needs a position or a TID")
-            if kind is OpKind.INSERT:
-                tid = self.replica.insert_at(position, self.id, atom)
-            else:
-                tid = self.replica.delete_at(position)
+        if position is None:
+            raise ProtocolError(f"local {kind.value} needs a position")
+        if kind is OpKind.INSERT:
+            tid = self.replica.insert_at(position, self.id, atom)
+        else:
+            tid = self.replica.delete_at(position)
         op = Operation(self.replica.epoch, kind, tid, atom, self.id, self.next_seq)
         self.next_seq += 1
-        if by_tid:
-            result = self._apply(op)
-            if result is not EffectReport.APPLIED:
-                raise ProtocolError(f"local {kind.value} was not fresh: {result}")
         self._record(op)
         self.outbox.append(op)
         return op
@@ -291,7 +287,7 @@ class Site:
 
     def _record(self, op: Operation) -> None:
         ident = op.identity
-        self.delivered_by_epoch.setdefault(op.epoch, set()).add(ident)
+        self.epoch_ids.add(ident)
         if self.role is Role.NEBULA:
             if op.kind is OpKind.INSERT:
                 self.applied_inserts[op.tid] = ident
@@ -329,14 +325,13 @@ class Site:
             if op.epoch > self.replica.epoch:
                 self.epoch_buffers.setdefault(op.epoch, {}).setdefault(ident, op)
             return DeliverResult.WRONG_EPOCH
-        if ident in self._pending_ids:
+        if ident in self.pending:
             return DeliverResult.DUPLICATE
         # The replica raises, unchanged, on an op that is not causally ready.
         try:
             result = self._apply(op)
         except (MissingAncestor, MissingTarget):
-            self.pending.append(op)
-            self._pending_ids.add(ident)
+            self.pending[ident] = op
             return DeliverResult.BUFFERED
         self._record(op)
         # Even when the effect already existed (a concurrent delete beat
@@ -349,21 +344,19 @@ class Site:
         return DeliverResult.APPLIED
 
     def _drain_pending(self) -> None:
-        progress = True
+        pending = self.pending
+        progress = bool(pending)
         while progress:
             progress = False
-            still: list[Operation] = []
-            for op in self.pending:
+            for ident, op in list(pending.items()):
                 try:
                     self._apply(op)
                 except (MissingAncestor, MissingTarget):
-                    still.append(op)
                     continue
+                del pending[ident]
                 self._record(op)
-                self._pending_ids.discard(op.identity)
                 self._delivered_since_take.append(op)
                 progress = True
-            self.pending = still
 
     def take_delivered(self) -> list[Operation]:
         """Operations newly recorded since the last call (what relays forward)."""
@@ -379,9 +372,8 @@ class Site:
         Memoized by (epoch, set size): an epoch's set only grows, so an
         unchanged size means an unchanged set.
         """
-        epoch = self.replica.epoch
-        ids = self.delivered_by_epoch.get(epoch, ())
-        key = (epoch, len(ids))
+        ids = self.epoch_ids
+        key = (self.replica.epoch, len(ids))
         if self._digest_memo[0] != key:
             self._digest_memo = (key, ids_digest(ids))
         return self._digest_memo[1]
@@ -411,12 +403,13 @@ class Site:
         return digest
 
     def _forget_before(self, epoch: int) -> None:
-        """Drop per-epoch state for epochs below ``epoch``, just entered.
+        """Empty ``epoch_ids``; drop state for epochs below ``epoch``, just entered.
 
         Every reader of this state asks for the site's own epoch: voting,
         the commit's identity set, catch-up and the buffer drain after it.
         """
-        for table in (self.delivered_by_epoch, self.announcements, self.epoch_buffers):
+        self.epoch_ids = set()
+        for table in (self.announcements, self.epoch_buffers):
             for old in [e for e in table if e < epoch]:
                 del table[old]
 
@@ -486,54 +479,33 @@ class Site:
     ) -> tuple[list[MiniNode], dict[int, list[MiniNode]]]:
         """Step one: the cyan skeleton in order, plus black subtrees per gap.
 
-        The skeleton holds fresh mini-nodes for the cyan atoms the core's
-        flatten kept: the live ones, and those with a black tombstone, which
-        are created tombstoned and entered in ``black`` with their delete.
-        Black nodes only ever hang below the cyan skeleton (a cyan node's
-        ancestors are all cyan, because the core applied it only after its
-        ancestors existed there), so a maximal black subtree is intact and
-        its whole span falls in a single gap between consecutive skeleton
-        entries. Gap 0 is the virtual sentinel before the first entry.
+        The skeleton is the replica's own mini-nodes for the cyan atoms the
+        core's flatten kept: the live ones, and the tombstones whose delete
+        is black. Black nodes only ever hang below the cyan skeleton (a cyan
+        node's ancestors are all cyan, because the core applied it only after
+        its ancestors existed there), so a maximal black subtree is intact
+        and its whole span falls in a single gap between consecutive
+        skeleton entries. Its root is the black insert whose parent is not
+        one; gap 0 is the virtual sentinel before the first entry. A cyan
+        tombstone drops out; its subtrees stay in document order.
         """
         skeleton: list[MiniNode] = []
         groups: dict[int, list[MiniNode]] = {}
-        doc = self.replica
-        if doc.root.minis:
-            stack: list[list] = [[doc.root, 0, 0]]
-            while stack:
-                frame = stack[-1]
-                major, idx = frame[0], frame[1]
-                if idx >= len(major.minis):
-                    stack.pop()
-                    continue
-                mini = major.minis[idx]
-                if frame[2] == 0:
-                    entry = black.get(mini)
-                    if entry is not None and entry[0] is not None:
-                        groups.setdefault(len(skeleton), []).append(mini)
-                        frame[1] += 1
-                        continue
-                    frame[2] = 1
-                    if mini.left is not None:
-                        stack.append([mini.left, 0, 0])
-                        continue
-                if frame[2] == 1:
-                    frame[2] = 2
-                    entry = black.get(mini)
-                    if entry is not None or not mini.tombstone:
-                        node = MiniNode(mini.disambiguator, mini.atom)
-                        if entry is not None:
-                            node.tombstone = True
-                            black[node] = entry
-                        skeleton.append(node)
-                    # A cyan tombstone drops out of the skeleton; its children
-                    # are walked normally and its black subtrees land in the
-                    # current gap, i.e. at the end of the last entry built.
-                    if mini.right is not None:
-                        stack.append([mini.right, 0, 0])
-                        continue
-                frame[1] += 1
-                frame[2] = 0
+        get = black.get
+        for mini, depth, _, path in self.replica.iter_nodes():
+            entry = get(mini)
+            if entry is None:
+                if not mini.tombstone:
+                    skeleton.append(mini)
+            elif entry[0] is None:
+                skeleton.append(mini)
+            else:
+                if depth:
+                    frame = path[-2]
+                    above = get(frame[0][frame[1]])
+                    if above is not None and above[0] is not None:
+                        continue  # inside a black subtree
+                groups.setdefault(len(skeleton), []).append(mini)
         return skeleton, groups
 
     def catch_up(
@@ -542,14 +514,14 @@ class Site:
         """Translate this site's black operations into the new epoch.
 
         Applies any remaining old core updates, builds the black table
-        (``mark_colors``), rebuilds the cyan skeleton exactly as the core's
-        flatten did, reattaches the black subtrees at order-preserving free
-        slots, and reads the translated operations (original identities,
+        (``mark_colors``), relinks the replica's cyan skeleton exactly as the
+        core's flatten did, reattaches the black subtrees at order-preserving
+        free slots, and reads the translated operations (original identities,
         new TIDs) off one walk of the new tree, which builds TIDs for the
-        black-table nodes only. They are ordered by depth,
-        inserts before deletes, so a receiver applies each one without
-        buffering. The emitted set covers every black operation in the
-        tree, not only the ones this site originated.
+        black-table nodes only. They are ordered by depth, inserts before
+        deletes, so a receiver applies each one without buffering. The
+        emitted set covers every black operation in the tree, not only the
+        ones this site originated.
         """
         if self.role is not Role.NEBULA:
             raise ProtocolError("catch-up is a nebula-side step")
@@ -563,21 +535,22 @@ class Site:
             raise EpochMismatch(f"no commit announcement for epoch {old_epoch}")
         for op in buffered_old_core_ops:
             self.deliver(op)
-        missing = ann.committed_ids - self.delivered_by_epoch.get(old_epoch, set())
+        missing = ann.committed_ids - self.epoch_ids
         if missing:
             raise ProtocolError(
                 f"catch-up started before {len(missing)} committed ops arrived"
             )
         black = self.mark_colors(ann.committed_ids)
         skeleton, groups = self._collect_catch_up(black)
-        new_doc = build_balanced(skeleton)
-        new_doc.epoch = new_epoch
+        # Checked before the skeleton is relinked: on a mismatch the replica
+        # is left as it was.
         if flat_digest(new_epoch, skeleton) != ann.doc_digest:
             raise InvariantViolation(
                 f"cyan skeleton of {len(skeleton)} atoms does not match the"
                 f" digest the core announced for epoch {new_epoch}"
             )
-
+        new_doc = build_balanced(skeleton)
+        new_doc.epoch = new_epoch
         for gap in sorted(groups):
             roots = groups[gap]
             if not skeleton:
@@ -619,11 +592,9 @@ class Site:
         self.replica = new_doc
         self.applied_inserts = new_ins
         self.applied_deletes = new_del
-        epoch_set = self.delivered_by_epoch.setdefault(new_epoch, set())
-        epoch_set.update(op.identity for op in emissions)
         self._forget_before(new_epoch)
+        self.epoch_ids.update(op.identity for op in emissions)
         self.pending.clear()
-        self._pending_ids.clear()
         self.outbox = [op for op in self.outbox if op.epoch >= new_epoch]
         return emissions
 
@@ -639,7 +610,7 @@ class Site:
             ann = self.announcements.get(self.replica.epoch)
             if ann is None:
                 break
-            have = self.delivered_by_epoch.get(self.replica.epoch, set())
+            have = self.epoch_ids
             # len() guard keeps the hot path cheap: a subset needs at least
             # as many delivered identities as the committed set holds.
             if len(have) < len(ann.committed_ids) or not ann.committed_ids <= have:
@@ -719,7 +690,7 @@ def initiate_flatten(
             observer(member.id, coordinator.id, VoteMsg(vote))
         if vote.decision is VoteDecision.NO:
             return FlattenOutcome(False, reason=AbortReason.NO_VOTE)
-    committed_ids = frozenset(coordinator.delivered_by_epoch.get(old_epoch, set()))
+    committed_ids = frozenset(coordinator.epoch_ids)
     digests = {member.id: member._commit_flatten() for member in members}
     doc_digest = digests[coordinator.id]
     diverged = sorted(sid for sid, digest in digests.items() if digest != doc_digest)

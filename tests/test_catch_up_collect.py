@@ -1,0 +1,213 @@
+"""Catch-up's collect step against a reference walk.
+
+``reference_collect`` is the collect step as a pruning tree walk of its own:
+it stops at each black subtree's root and copies every cyan atom it keeps
+into a fresh mini-node. ``Site._collect_catch_up`` reads the shared
+document-order traversal instead and returns the replica's own nodes. On
+the same nebula histories both must give the same skeleton and the same
+black subtree roots in the same gaps.
+"""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from treedoc import OpKind, Role, Site, initiate_flatten
+from treedoc.core import MiniNode
+
+NEBULAS = (b"N1", b"N2", b"N3")
+
+
+def reference_collect(doc, black):
+    """The skeleton (fresh nodes) and the black roots per gap.
+
+    Enters each fresh node for a black tombstone in ``black``: pass a copy.
+    """
+    skeleton = []
+    groups = {}
+    if not doc.root.minis:
+        return skeleton, groups
+    stack = [[doc.root, 0, 0]]
+    while stack:
+        frame = stack[-1]
+        major, idx = frame[0], frame[1]
+        if idx >= len(major.minis):
+            stack.pop()
+            continue
+        mini = major.minis[idx]
+        if frame[2] == 0:
+            entry = black.get(mini)
+            if entry is not None and entry[0] is not None:
+                groups.setdefault(len(skeleton), []).append(mini)
+                frame[1] += 1
+                continue
+            frame[2] = 1
+            if mini.left is not None:
+                stack.append([mini.left, 0, 0])
+                continue
+        if frame[2] == 1:
+            frame[2] = 2
+            entry = black.get(mini)
+            if entry is not None or not mini.tombstone:
+                node = MiniNode(mini.disambiguator, mini.atom)
+                if entry is not None:
+                    node.tombstone = True
+                    black[node] = entry
+                skeleton.append(node)
+            if mini.right is not None:
+                stack.append([mini.right, 0, 0])
+                continue
+        frame[1] += 1
+        frame[2] = 0
+    return skeleton, groups
+
+
+def run_history(n_nebulas, history):
+    """One core site and ``n_nebulas`` nebula sites play ``history``; then
+    every nebula gets every core op, and the core flattens alone.
+
+    Steps: ``("core", delete, r)`` and ``("edit", i, delete, r)`` edit at
+    position ``r`` modulo the document (an insert when nothing is live);
+    ``("ship", i)`` delivers every core op so far to nebula ``i``;
+    ``("share", i, j)`` delivers every op nebula ``i`` has to nebula ``j``.
+    """
+    core = Site(b"A", Role.CORE)
+    nebulas = [Site(dis, Role.NEBULA) for dis in NEBULAS[:n_nebulas]]
+    core_ops = []
+    has = {site.id: [] for site in nebulas}
+
+    def edit(site, delete, r, log):
+        live = site.replica.live_count
+        if delete and live:
+            op = site.submit_local(OpKind.DELETE, position=r % live)
+        else:
+            atom = b"%s%d" % (site.id, site.next_seq)
+            op = site.submit_local(OpKind.INSERT, position=r % (live + 1), atom=atom)
+        site.outbox.clear()
+        log.append(op)
+
+    def deliver(site, ops):
+        for op in ops:
+            site.deliver(op)
+        has[site.id].extend(site.take_delivered())
+
+    for step in history:
+        if step[0] == "core":
+            edit(core, step[1], step[2], core_ops)
+        elif step[0] == "edit":
+            site = nebulas[step[1] % n_nebulas]
+            edit(site, step[2], step[3], has[site.id])
+        elif step[0] == "ship":
+            deliver(nebulas[step[1] % n_nebulas], core_ops)
+        else:
+            source = nebulas[step[1] % n_nebulas]
+            deliver(nebulas[step[2] % n_nebulas], list(has[source.id]))
+    for site in nebulas:
+        deliver(site, core_ops)
+    ann = initiate_flatten(core, [core]).announcement
+    for site in nebulas:
+        site.receive_decision(ann)
+    return core, nebulas, ann
+
+
+def check_collect(site, ann):
+    """Compare the collect step with the reference, then finish the catch-up."""
+    black = site.mark_colors(ann.committed_ids)
+    skeleton, groups = site._collect_catch_up(black)
+    want_skeleton, want_groups = reference_collect(site.replica, dict(black))
+    entries = [(m.disambiguator, m.atom, m.tombstone) for m in skeleton]
+    assert entries == [(m.disambiguator, m.atom, m.tombstone) for m in want_skeleton]
+    assert {gap: [id(r) for r in roots] for gap, roots in groups.items()} == {
+        gap: [id(r) for r in roots] for gap, roots in want_groups.items()
+    }
+    features = _features(site, black, skeleton, groups)
+    site.catch_up([], ann.new_epoch)  # the rebuilt skeleton matches the digest
+    assert site.replica.counters_consistent()
+    return features
+
+
+def _features(site, black, skeleton, groups):
+    """Which of the cases the collect step must handle this replica shows."""
+    roots = {id(r) for rs in groups.values() for r in rs}
+    found = set()
+    if not skeleton and groups:
+        found.add("empty skeleton")
+    if any(len(idents) > 1 for idents in site.applied_deletes.values()):
+        found.add("racing deletes")
+    for mini, depth, _, path in site.replica.iter_nodes():
+        if id(mini) not in roots:
+            continue
+        if sum(id(m) in roots for m in path[-1][0]) > 1:
+            found.add("black roots share a major node")
+        if depth:
+            frame = path[-2]
+            parent = frame[0][frame[1]]
+            if parent.tombstone and parent not in black:
+                found.add("black subtree under a cyan tombstone")
+    return found
+
+
+STEP = st.one_of(
+    st.tuples(st.just("core"), st.booleans(), st.integers(0, 7)),
+    st.tuples(st.just("edit"), st.integers(0, 2), st.booleans(), st.integers(0, 7)),
+    st.tuples(st.just("ship"), st.integers(0, 2)),
+    st.tuples(st.just("share"), st.integers(0, 2), st.integers(0, 2)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n_nebulas=st.integers(2, 3), history=st.lists(STEP, max_size=40))
+def test_collect_matches_the_reference_walk(n_nebulas, history):
+    _, nebulas, ann = run_history(n_nebulas, history)
+    for site in nebulas:
+        check_collect(site, ann)
+
+
+def _inserts(who, *positions):
+    if who == "core":
+        return [("core", False, p) for p in positions]
+    return [("edit", who, False, p) for p in positions]
+
+
+CASES = {
+    # Two nebulas delete the same core atom, one of them twice over: once
+    # itself, once through the other's share; the core deletes another atom
+    # that a nebula deleted too.
+    "racing deletes": (
+        3,
+        _inserts("core", 0, 1, 2)
+        + [("ship", 0), ("ship", 1), ("ship", 2)]
+        + [("edit", 0, True, 0), ("edit", 1, True, 0), ("share", 0, 1)]
+        + [("edit", 2, True, 1), ("core", True, 1)],
+    ),
+    # Nebula atoms hang below a core atom the core then deletes.
+    "black subtree under a cyan tombstone": (
+        2,
+        _inserts("core", 0, 1, 2)
+        + [("ship", 0)]
+        + _inserts(0, 3, 4, 3)
+        + [("core", True, 2), ("ship", 0)],
+    ),
+    # Two nebulas insert at the same slot and swap their atoms.
+    "black roots share a major node": (
+        2,
+        _inserts("core", 0) + [("ship", 0), ("ship", 1)]
+        + _inserts(0, 1) + _inserts(1, 1)
+        + [("share", 0, 1), ("share", 1, 0)],
+    ),
+    # The core keeps no atom; the nebulas' atoms are all black.
+    "empty skeleton": (
+        3,
+        _inserts("core", 0) + [("ship", 0), ("core", True, 0)]
+        + _inserts(0, 0, 1) + _inserts(1, 0) + [("share", 1, 0), ("share", 0, 2)],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_collect_matches_the_reference_walk_on_each_case(case):
+    n_nebulas, history = CASES[case]
+    _, nebulas, ann = run_history(n_nebulas, history)
+    found = set()
+    for site in nebulas:
+        found |= check_collect(site, ann)
+    assert case in found

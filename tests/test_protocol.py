@@ -220,7 +220,7 @@ def test_vote_yes_when_synchronized_and_idle():
     a, b, c = make_cores()
     a.submit_local(OpKind.INSERT, position=0, atom=b"x")
     gossip([a, b, c])
-    prepare = PrepareMessage(a.id, 0, ids_digest(a.delivered_by_epoch[0]))
+    prepare = PrepareMessage(a.id, 0, ids_digest(a.epoch_ids))
     assert b.vote_on_prepare(prepare).decision is VoteDecision.YES
 
 
@@ -229,7 +229,7 @@ def test_vote_no_on_undelivered_local_op():
     a.submit_local(OpKind.INSERT, position=0, atom=b"x")
     gossip([a, b, c])
     b.submit_local(OpKind.INSERT, position=1, atom=b"y")  # stays in b's outbox
-    prepare = PrepareMessage(a.id, 0, ids_digest(a.delivered_by_epoch[0]))
+    prepare = PrepareMessage(a.id, 0, ids_digest(a.epoch_ids))
     assert b.vote_on_prepare(prepare).decision is VoteDecision.NO
 
 
@@ -237,7 +237,7 @@ def test_vote_no_on_buffered_pending_op():
     a, b, c = make_cores()
     orphan = Operation(0, OpKind.INSERT, tid((0,), root=b"X", dis=b"X"), b"x", b"X", 7)
     assert b.deliver(orphan) is DeliverResult.BUFFERED
-    prepare = PrepareMessage(a.id, 0, ids_digest(a.delivered_by_epoch.get(0, set())))
+    prepare = PrepareMessage(a.id, 0, ids_digest(a.epoch_ids))
     assert b.vote_on_prepare(prepare).decision is VoteDecision.NO
 
 
@@ -360,7 +360,7 @@ def test_core_insert_nebula_delete_is_cyan_node_black_tombstone():
     _ship(core, nebula)
     delete = nebula.submit_local(OpKind.DELETE, position=0)
 
-    black = nebula.mark_colors({op for op in core.delivered_by_epoch[0]})
+    black = nebula.mark_colors({op for op in core.epoch_ids})
     (t, mini), = list(nebula.replica.walk())
     assert mini.tombstone
     # Cyan node (no uncommitted insert), black tombstone (its delete to emit).
@@ -522,6 +522,30 @@ def test_catch_up_checks_epoch_and_announcement():
         nebula.catch_up([], 2)  # nebula is at epoch 0
     with pytest.raises(EpochMismatch):
         nebula.catch_up([], 1)  # no announcement stored
+
+
+def test_failed_digest_check_leaves_the_replica_intact():
+    from dataclasses import replace
+
+    core, nebula = _core_and_nebula()
+    for i, atom in enumerate(b"abcd"):
+        core.submit_local(OpKind.INSERT, position=i, atom=bytes([atom]))
+    _ship(core, nebula)
+    nebula.submit_local(OpKind.INSERT, position=2, atom=b"x")
+    nebula.submit_local(OpKind.DELETE, position=0)
+    ann = initiate_flatten(core, [core]).announcement
+    digest, text = nebula.replica.state_digest(), nebula.replica.text()
+    nebula.announcements[0] = replace(ann, doc_digest="0" * 64)
+    with pytest.raises(InvariantViolation):
+        nebula.catch_up([], 1)
+    assert nebula.replica.state_digest() == digest
+    assert nebula.replica.text() == text == "bxcd"
+    assert nebula.replica.epoch == 0
+    nebula.announcements[0] = ann
+    emissions = nebula.catch_up([], 1)
+    for op in emissions:
+        core.deliver(op)
+    assert core.replica.structurally_equal(nebula.replica)
 
 
 def test_black_subtree_under_cyan_tombstone_reattaches_in_order():
@@ -798,7 +822,7 @@ def test_epoch_change_drops_older_per_epoch_state():
     core.outbox.clear()
     first = initiate_flatten(core, [core]).announcement
     # Committed members are past the announced epoch and store nothing.
-    assert core.announcements == {} and core.delivered_by_epoch == {}
+    assert core.announcements == {} and core.epoch_ids == set()
     stale = Operation(0, OpKind.INSERT, TID(b"X"), b"x", b"X", 1)
     assert core.deliver(stale) is DeliverResult.WRONG_EPOCH
     ahead = core.submit_local(OpKind.INSERT, position=1, atom=b"b")
@@ -812,7 +836,7 @@ def test_epoch_change_drops_older_per_epoch_state():
     assert nebula.maybe_catch_up() == []
     assert nebula.replica.epoch == 2
     assert nebula.announcements == {} and nebula.epoch_buffers == {}
-    assert list(nebula.delivered_by_epoch) == [2]
+    assert nebula.epoch_ids == set()
     nebula.receive_decision(first)  # a late duplicate
     assert nebula.announcements == {}
     assert nebula.replica.structurally_equal(core.replica)
@@ -855,7 +879,7 @@ def test_submit_needs_a_position_or_a_tid():
     site = Site(b"A", Role.CORE)
     site.submit_local(OpKind.INSERT, position=0, atom=b"x")
     for kind, atom in ((OpKind.INSERT, b"y"), (OpKind.DELETE, None)):
-        with pytest.raises(ProtocolError, match="position or a TID"):
+        with pytest.raises(ProtocolError, match="needs a position"):
             site.submit_local(kind, atom=atom)
     assert site.next_seq == 2
     assert site.replica.text() == "x"

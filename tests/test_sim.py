@@ -212,7 +212,6 @@ def test_soak_site_metadata_holds_the_current_epoch_only():
     origins = {site.id for site in result.sites}
     for site in result.sites:
         assert site.replica.epoch == epoch
-        assert set(site.delivered_by_epoch) <= {epoch}
         assert site.announcements == {}
         assert all(e >= epoch for e in site.epoch_buffers)
         assert site.delivered_exceptions == set()
@@ -224,8 +223,7 @@ def _metadata_sizes(site: Site) -> tuple[int, ...]:
     return (
         len(site.delivered_summary),
         len(site.delivered_exceptions),
-        len(site.delivered_by_epoch),
-        sum(len(ids) for ids in site.delivered_by_epoch.values()),
+        len(site.epoch_ids),
         len(site.announcements),
         len(site.epoch_buffers),
         len(site.applied_inserts),
