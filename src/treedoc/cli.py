@@ -161,7 +161,7 @@ def _cmd_demo_catchup() -> int:
     for mini, (insert, _) in black.items():
         what = "insert" if insert is not None else "tombstone only"
         print(f"  {mini.atom.decode()!r}: {what}")
-    skeleton, groups = nebula._collect_catch_up(black)
+    skeleton, _, _, groups = nebula._collect_catch_up(black)
     listing = ", ".join(
         f"{m.atom.decode()}{' (black tombstone)' if m.tombstone else ''}"
         for m in skeleton

@@ -12,7 +12,9 @@ There is one builder, ``build_balanced``, and two ways in:
   gathers the live mini-nodes, and the builder relinks those same nodes,
   reusing each one's major node when it holds nothing else. The old tree
   is unusable afterwards. A nebula site's catch-up (``protocol``) relinks
-  its replica's own cyan skeleton the same way.
+  its replica's own cyan skeleton the same way, major nodes included, and
+  finds the new TID of any skeleton entry with ``balanced_tid``, which
+  walks no tree.
 * ``flatten_local`` and ``build_balanced`` over ``(atom, disambiguator)``
   entries leave their input untouched: they relink fresh mini-nodes.
 
@@ -27,7 +29,10 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from .core import MajorNode, MiniNode, Treedoc, flat_digest, path_tid
-from .tid import Disambiguator, TID, header_cost, selector_cost
+from .errors import IndexOutOfRange
+from .tid import (
+    LEFT, RIGHT, Disambiguator, PathElement, TID, header_cost, selector_cost
+)
 
 Entry = tuple[bytes, Disambiguator]
 
@@ -108,6 +113,28 @@ def build_balanced(
         pairs += 1
     doc.tid_bytes_total = total
     return doc
+
+
+def balanced_tid(minis: Sequence[MiniNode], index: int) -> TID:
+    """TID of ``minis[index]`` in the tree ``build_balanced(minis)`` builds.
+
+    The midpoint rule makes the path a function of ``index`` and
+    ``len(minis)`` alone; the minis give its disambiguators.
+    """
+    if not 0 <= index < len(minis):
+        raise IndexOutOfRange(f"index {index} outside {len(minis)} entries")
+    lo, hi = 0, len(minis)
+    mid = hi // 2
+    root = minis[mid].disambiguator
+    path = []
+    while mid != index:
+        if index < mid:
+            hi, direction = mid, LEFT
+        else:
+            lo, direction = mid + 1, RIGHT
+        mid = (lo + hi) // 2
+        path.append(PathElement(direction, minis[mid].disambiguator))
+    return TID._make(root, tuple(path))
 
 
 def flatten_local(doc: Treedoc) -> FlattenResult:

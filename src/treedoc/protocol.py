@@ -24,14 +24,14 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from .core import EffectReport, MajorNode, MiniNode, Treedoc, path_tid
 from .errors import (
     EpochMismatch, InvariantViolation, MissingAncestor, MissingTarget, ProtocolError
 )
-from .flatten import build_balanced, flat_digest, flatten_for_commit
-from .tid import LEFT, RIGHT, Disambiguator, TID
+from .flatten import balanced_tid, build_balanced, flat_digest, flatten_for_commit
+from .tid import LEFT, RIGHT, Disambiguator, PathElement, TID
 
 Identity = tuple[Disambiguator, int]
 # Catch-up's black effects: node -> (uncommitted insert, delete to emit).
@@ -66,25 +66,30 @@ class AbortReason(Enum):
     TIMEOUT = "timeout"
 
 
-@dataclass(frozen=True, slots=True)
-class Operation:
-    """An epoch-tagged insert or delete exchanged between sites.
-
-    ``(origin, origin_seq)`` identifies the operation for its whole life:
-    catch-up translation renames the TID but keeps the identity.
-    """
-
+class _OperationFields(NamedTuple):
     epoch: int
     kind: OpKind
     tid: TID
     atom: Optional[bytes]
     origin: Disambiguator
     origin_seq: int
+
+
+class Operation(_OperationFields):
+    """An epoch-tagged insert or delete exchanged between sites.
+
+    ``(origin, origin_seq)`` identifies the operation for its whole life:
+    catch-up translation renames the TID but keeps the identity. A tuple of
+    its fields, so it is immutable and cheap to build; equality and hash are
+    the fields'.
+    """
+
     # One op is serialized for logs once, not once per send and delivery;
-    # the string lives and dies with the op.
-    _canonical: Optional[str] = field(
-        default=None, init=False, compare=False, repr=False
-    )
+    # the string lives and dies with the op, outside its fields.
+    _canonical: Optional[str] = None
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Operation is immutable")
 
     @property
     def identity(self) -> Identity:
@@ -476,29 +481,37 @@ class Site:
 
     def _collect_catch_up(
         self, black: BlackTable
-    ) -> tuple[list[MiniNode], dict[int, list[MiniNode]]]:
-        """Step one: the cyan skeleton in order, plus black subtrees per gap.
+    ) -> tuple[
+        list[MiniNode], list[Optional[MajorNode]], list[int], dict[int, list[MiniNode]]
+    ]:
+        """Step one: the cyan skeleton in order, its major nodes, the indices
+        of its black tombstones, and the black subtrees per gap.
 
         The skeleton is the replica's own mini-nodes for the cyan atoms the
         core's flatten kept: the live ones, and the tombstones whose delete
-        is black. Black nodes only ever hang below the cyan skeleton (a cyan
-        node's ancestors are all cyan, because the core applied it only after
-        its ancestors existed there), so a maximal black subtree is intact
-        and its whole span falls in a single gap between consecutive
-        skeleton entries. Its root is the black insert whose parent is not
-        one; gap 0 is the virtual sentinel before the first entry. A cyan
-        tombstone drops out; its subtrees stay in document order.
+        is black. ``owners[i]`` is the major node holding ``skeleton[i]``
+        when it holds nothing else, as ``live_nodes`` gives it. Black nodes
+        only ever hang below the cyan skeleton (a cyan node's ancestors are
+        all cyan, because the core applied it only after its ancestors
+        existed there), so a maximal black subtree is intact and its whole
+        span falls in a single gap between consecutive skeleton entries. Its
+        root is the black insert whose parent is not one; gap 0 is the
+        virtual sentinel before the first entry, and the gaps come in
+        ascending order. A cyan tombstone drops out; its subtrees stay in
+        document order.
         """
         skeleton: list[MiniNode] = []
+        owners: list[Optional[MajorNode]] = []
+        deleted: list[int] = []
         groups: dict[int, list[MiniNode]] = {}
         get = black.get
         for mini, depth, _, path in self.replica.iter_nodes():
             entry = get(mini)
             if entry is None:
-                if not mini.tombstone:
-                    skeleton.append(mini)
+                if mini.tombstone:
+                    continue
             elif entry[0] is None:
-                skeleton.append(mini)
+                deleted.append(len(skeleton))
             else:
                 if depth:
                     frame = path[-2]
@@ -506,7 +519,11 @@ class Site:
                     if above is not None and above[0] is not None:
                         continue  # inside a black subtree
                 groups.setdefault(len(skeleton), []).append(mini)
-        return skeleton, groups
+                continue
+            frame = path[-1]
+            owners.append(frame[4] if len(frame[0]) == 1 else None)
+            skeleton.append(mini)
+        return skeleton, owners, deleted, groups
 
     def catch_up(
         self, buffered_old_core_ops: Iterable[Operation], new_epoch: int
@@ -514,14 +531,21 @@ class Site:
         """Translate this site's black operations into the new epoch.
 
         Applies any remaining old core updates, builds the black table
-        (``mark_colors``), relinks the replica's cyan skeleton exactly as the
-        core's flatten did, reattaches the black subtrees at order-preserving
-        free slots, and reads the translated operations (original identities,
-        new TIDs) off one walk of the new tree, which builds TIDs for the
-        black-table nodes only. They are ordered by depth, inserts before
-        deletes, so a receiver applies each one without buffering. The
-        emitted set covers every black operation in the tree, not only the
-        ones this site originated.
+        (``mark_colors``), relinks the replica's cyan skeleton and its major
+        nodes exactly as the core's flatten did, and then touches only what
+        is black:
+
+        * each black tombstone of the skeleton is deleted at its new TID,
+          which the midpoint rule gives (``balanced_tid``);
+        * each black subtree is grafted, intact, at an order-preserving free
+          slot, which counts it in;
+        * the translated operations (original identities, new TIDs) are read
+          off those deletes and one walk of the grafted subtrees.
+
+        They are ordered by depth, inserts before deletes, then document
+        order, so a receiver applies each one without buffering. The emitted
+        set covers every black operation in the tree, not only the ones this
+        site originated.
         """
         if self.role is not Role.NEBULA:
             raise ProtocolError("catch-up is a nebula-side step")
@@ -541,7 +565,7 @@ class Site:
                 f"catch-up started before {len(missing)} committed ops arrived"
             )
         black = self.mark_colors(ann.committed_ids)
-        skeleton, groups = self._collect_catch_up(black)
+        skeleton, owners, deleted, groups = self._collect_catch_up(black)
         # Checked before the skeleton is relinked: on a mismatch the replica
         # is left as it was.
         if flat_digest(new_epoch, skeleton) != ann.doc_digest:
@@ -549,46 +573,57 @@ class Site:
                 f"cyan skeleton of {len(skeleton)} atoms does not match the"
                 f" digest the core announced for epoch {new_epoch}"
             )
-        new_doc = build_balanced(skeleton)
+        new_doc = build_balanced(skeleton, owners)
         new_doc.epoch = new_epoch
-        for gap in sorted(groups):
-            roots = groups[gap]
-            if not skeleton:
-                first = roots[0]
-                new_doc.root.minis.append(first)
-                anchor, direction = _rightmost_free(first)
-                rest = roots[1:]
-            else:
-                anchor, direction = _gap_slot(skeleton, gap)
-                rest = roots
-            for root in rest:
-                _attach_at(anchor, direction, root)
-                anchor, direction = _rightmost_free(root)
-        new_doc.recompute_counters()
-
         emissions: list[Operation] = []
-        new_ins: dict[TID, Identity] = {}
-        new_del: dict[TID, list[Identity]] = {}
-        for mini, _, _, path in new_doc.iter_nodes():
-            entry = black.get(mini)
-            if entry is None:
-                continue
-            new_tid = path_tid(path)
-            ins, dele = entry
-            if ins is not None:
-                emissions.append(
-                    Operation(new_epoch, OpKind.INSERT, new_tid, mini.atom, *ins)
+        for i in deleted:
+            # build_balanced counted the entry live: delete it as every
+            # receiver of the emitted delete will.
+            mini = skeleton[i]
+            tid = balanced_tid(skeleton, i)
+            mini.tombstone = False
+            new_doc.delete(tid)
+            emissions.append(
+                Operation(new_epoch, OpKind.DELETE, tid, None, *black[mini][1])
+            )
+        starts: list[tuple[MiniNode, TID]] = []
+        for gap, roots in groups.items():
+            first = roots[0]
+            if skeleton:
+                index, direction = _gap_slot(skeleton, gap)
+                tid = balanced_tid(skeleton, index).child(
+                    direction, first.disambiguator
                 )
-                new_ins[new_tid] = ins
+            else:
+                tid = TID(first.disambiguator)
+            new_doc.graft(tid, first)
+            starts.append((first, tid))
+            for above, root in zip(roots, roots[1:]):
+                tid = _slot_after(above, tid, root.disambiguator)
+                new_doc.graft(tid, root)
+        for mini, _, _, path in new_doc.iter_nodes(starts):
+            # A black subtree holds black inserts only.
+            ins, dele = black[mini]
+            new_tid = path_tid(path)
+            emissions.append(
+                Operation(new_epoch, OpKind.INSERT, new_tid, mini.atom, *ins)
+            )
             if dele is not None:
                 emissions.append(
                     Operation(new_epoch, OpKind.DELETE, new_tid, None, *dele)
                 )
-                new_del[new_tid] = [dele]
+        # TID order is document order.
         emissions.sort(
-            key=lambda op: (op.tid.depth, 0 if op.kind is OpKind.INSERT else 1)
+            key=lambda op: (op.tid.depth, op.kind is OpKind.DELETE, op.tid)
         )
 
+        new_ins: dict[TID, Identity] = {}
+        new_del: dict[TID, list[Identity]] = {}
+        for op in emissions:
+            if op.kind is OpKind.INSERT:
+                new_ins[op.tid] = op.identity
+            else:
+                new_del[op.tid] = [op.identity]
         self.replica = new_doc
         self.applied_inserts = new_ins
         self.applied_deletes = new_del
@@ -626,34 +661,32 @@ class Site:
                 self.deliver(op)
 
 
-def _gap_slot(skeleton: list[MiniNode], gap: int) -> tuple[MiniNode, int]:
-    """The free slot whose infix position is gap ``gap`` of the new tree.
+def _gap_slot(skeleton: list[MiniNode], gap: int) -> tuple[int, int]:
+    """The free slot whose infix position is gap ``gap`` of the new tree, as
+    (skeleton index, direction).
 
     Between consecutive infix neighbours one of (left.right, right.left) is
     always absent in a freshly built tree, so attaching there cannot collide
     with a cyan node and never needs the major-node merge case.
     """
     if gap == 0:
-        return skeleton[0], LEFT
+        return 0, LEFT
     if gap == len(skeleton):
-        return skeleton[-1], RIGHT
-    left_mini = skeleton[gap - 1]
-    if left_mini.right is None:
-        return left_mini, RIGHT
-    return skeleton[gap], LEFT
+        return gap - 1, RIGHT
+    if skeleton[gap - 1].right is None:
+        return gap - 1, RIGHT
+    return gap, LEFT
 
 
-def _attach_at(parent: MiniNode, direction: int, root: MiniNode) -> None:
-    if (parent.right if direction else parent.left) is not None:
-        raise InvariantViolation(f"catch-up slot under {parent!r} is taken")
-    parent.set_child(direction, MajorNode([root]))
-
-
-def _rightmost_free(root: MiniNode) -> tuple[MiniNode, int]:
-    cur = root
-    while cur.right is not None:
-        cur = cur.right.minis[-1]
-    return cur, RIGHT
+def _slot_after(mini: MiniNode, tid: TID, dis: Disambiguator) -> TID:
+    """TID for a node with disambiguator ``dis`` at the free slot right of
+    everything under ``mini``, whose TID is ``tid``."""
+    path = list(tid.path)
+    while mini.right is not None:
+        mini = mini.right.minis[-1]
+        path.append(PathElement(RIGHT, mini.disambiguator))
+    path.append(PathElement(RIGHT, dis))
+    return TID._make(tid.root_disambiguator, tuple(path))
 
 
 Observer = Callable[[Disambiguator, Disambiguator, object], None]

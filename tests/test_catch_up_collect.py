@@ -6,13 +6,18 @@ into a fresh mini-node. ``Site._collect_catch_up`` reads the shared
 document-order traversal instead and returns the replica's own nodes. On
 the same nebula histories both must give the same skeleton and the same
 black subtree roots in the same gaps.
+
+The rest of the catch-up touches only what is black. After it, every
+``live_size`` and document counter must equal a full recount, and the
+emitted operations must equal ``reference_emission``: one walk of the whole
+rebuilt tree and a stable sort.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from treedoc import OpKind, Role, Site, initiate_flatten
-from treedoc.core import MiniNode
+from treedoc import OpKind, Operation, Role, Site, initiate_flatten
+from treedoc.core import MiniNode, path_tid
 
 NEBULAS = (b"N1", b"N2", b"N3")
 
@@ -109,10 +114,39 @@ def run_history(n_nebulas, history):
     return core, nebulas, ann
 
 
+def reference_emission(doc, black, epoch):
+    """The black table's operations at their TIDs in ``doc``, read off one
+    walk of the whole tree in document order and stably sorted by depth,
+    inserts before deletes."""
+    ops = []
+    for mini, _, _, path in doc.iter_nodes():
+        entry = black.get(mini)
+        if entry is None:
+            continue
+        tid = path_tid(path)
+        ins, dele = entry
+        if ins is not None:
+            ops.append(Operation(epoch, OpKind.INSERT, tid, mini.atom, *ins))
+        if dele is not None:
+            ops.append(Operation(epoch, OpKind.DELETE, tid, None, *dele))
+    ops.sort(key=lambda op: (op.tid.depth, 0 if op.kind is OpKind.INSERT else 1))
+    return ops
+
+
+def counts(doc):
+    """The document counters and every node's ``live_size``, major nodes
+    parents first."""
+    order = []
+    doc._count(order)
+    sizes = [(major.live_size, [m.live_size for m in major.minis]) for major in order]
+    return doc.live_count, doc.tombstone_count, doc.tid_bytes_total, sizes
+
+
 def check_collect(site, ann):
-    """Compare the collect step with the reference, then finish the catch-up."""
+    """Compare the collect step with the reference, then finish the catch-up
+    and compare its counters and emissions with a recount and a reference."""
     black = site.mark_colors(ann.committed_ids)
-    skeleton, groups = site._collect_catch_up(black)
+    skeleton, _, _, groups = site._collect_catch_up(black)
     want_skeleton, want_groups = reference_collect(site.replica, dict(black))
     entries = [(m.disambiguator, m.atom, m.tombstone) for m in skeleton]
     assert entries == [(m.disambiguator, m.atom, m.tombstone) for m in want_skeleton]
@@ -120,8 +154,18 @@ def check_collect(site, ann):
         gap: [id(r) for r in roots] for gap, roots in want_groups.items()
     }
     features = _features(site, black, skeleton, groups)
-    site.catch_up([], ann.new_epoch)  # the rebuilt skeleton matches the digest
-    assert site.replica.counters_consistent()
+    # The rebuilt skeleton matches the digest, or this raises.
+    emitted = site.catch_up([], ann.new_epoch)
+    doc = site.replica
+    kept = counts(doc)
+    doc.recompute_counters()
+    assert kept == counts(doc)
+    assert emitted == reference_emission(doc, black, ann.new_epoch)
+    inserted = {op.tid for op in emitted if op.kind is OpKind.INSERT}
+    deleted = [op.tid for op in emitted if op.kind is OpKind.DELETE]
+    for a, b in zip(deleted, deleted[1:]):
+        if a.depth == b.depth and a in inserted and b not in inserted:
+            features.add("subtree delete, then skeleton delete, at one depth")
     return features
 
 
@@ -131,6 +175,14 @@ def _features(site, black, skeleton, groups):
     found = set()
     if not skeleton and groups:
         found.add("empty skeleton")
+        if len(roots) > 1:
+            found.add("empty skeleton, several roots")
+    if any(len(rs) > 1 for rs in groups.values()):
+        found.add("several black roots in one gap")
+    if skeleton and 0 in groups and len(skeleton) in groups:
+        found.add("black roots in gap 0 and gap n")
+    if skeleton and skeleton[len(skeleton) // 2].tombstone:
+        found.add("black tombstone on the root entry")
     if any(len(idents) > 1 for idents in site.applied_deletes.values()):
         found.add("racing deletes")
     for mini, depth, _, path in site.replica.iter_nodes():
@@ -199,6 +251,37 @@ CASES = {
         3,
         _inserts("core", 0) + [("ship", 0), ("core", True, 0)]
         + _inserts(0, 0, 1) + _inserts(1, 0) + [("share", 1, 0), ("share", 0, 2)],
+    ),
+    # No core atom at all; two nebulas' atoms share the root major node.
+    "empty skeleton, several roots": (
+        2, _inserts(0, 0, 0, 1) + _inserts(1, 0) + [("share", 1, 0)],
+    ),
+    # Nebula atoms on both sides of a core atom the core then deletes: the
+    # tombstone drops out and both subtrees fall in the gap it leaves.
+    "several black roots in one gap": (
+        1,
+        _inserts("core", 0, 1, 2, 3)
+        + [("ship", 0)]
+        + _inserts(0, 2, 4)
+        + [("core", True, 2), ("ship", 0)],
+    ),
+    # Nebula atoms before the first core atom and after the last.
+    "black roots in gap 0 and gap n": (
+        1, _inserts("core", 0, 1) + [("ship", 0)] + _inserts(0, 0, 3),
+    ),
+    # The nebula inserts and deletes an atom in the gap between core atoms 1
+    # and 2, then deletes core atom 3: two deletes at depth 2 of the rebuilt
+    # tree, one in a black subtree, one on the skeleton, in document order.
+    "subtree delete, then skeleton delete, at one depth": (
+        1,
+        _inserts("core", 0, 1, 2, 3, 4)
+        + [("ship", 0)]
+        + _inserts(0, 2)
+        + [("edit", 0, True, 2), ("edit", 0, True, 3)],
+    ),
+    # The nebula deletes the middle core atom, the rebuilt tree's root.
+    "black tombstone on the root entry": (
+        1, _inserts("core", 0, 1, 2) + [("ship", 0), ("edit", 0, True, 1)],
     ),
 }
 

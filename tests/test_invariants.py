@@ -14,8 +14,8 @@ from treedoc import (
     initiate_flatten,
 )
 from treedoc import bench
-from treedoc.core import MiniNode
-from treedoc.protocol import AbortReason, FlattenOutcome, _attach_at
+from treedoc.core import MiniNode, Treedoc
+from treedoc.protocol import AbortReason, FlattenOutcome
 from treedoc.tid import LEFT
 
 from conftest import build_abcdef
@@ -98,10 +98,13 @@ def test_commit_flatten_with_a_pending_op():
 
 
 def test_attach_at_a_taken_slot():
-    parent = MiniNode(b"A", b"p")
-    _attach_at(parent, LEFT, MiniNode(b"A", b"x"))
-    with pytest.raises(InvariantViolation, match="taken"):
-        _attach_at(parent, LEFT, MiniNode(b"B", b"y"))
+    doc = Treedoc()
+    doc.insert(TID(b"A"), b"p")
+    doc.graft(TID(b"A", ((LEFT, b"A"),)), MiniNode(b"A", b"x"))
+    for tid in (TID(b"A", ((LEFT, b"B"),)), TID(b"A", ((LEFT, b"A"),)), TID(b"B")):
+        with pytest.raises(InvariantViolation, match="taken"):
+            doc.graft(tid, MiniNode(b"B", b"y"))
+    assert doc.atoms() == [b"x", b"p"] and doc.counters_consistent()
 
 
 def test_bench_rejects_an_aborted_flatten(monkeypatch):

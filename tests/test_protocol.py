@@ -873,6 +873,9 @@ def test_canonical_string_is_kept_on_the_op_outside_equality():
     assert op == twin and hash(op) == hash(twin)
     assert twin.canonical() == text == f"0:insert:{TID(b'X').encode().hex()}:78:58:1"
     assert "_canonical" not in repr(op)
+    with pytest.raises(AttributeError):
+        op.tid = TID(b"Y")
+    assert op.tid == TID(b"X") and op.canonical() is text
 
 
 def test_submit_needs_a_position_or_a_tid():
