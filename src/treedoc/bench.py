@@ -56,6 +56,8 @@ def run_bench(
     Per-op latency covers the update operations only; flatten pauses are
     timed separately and counted in the wall clock.
     """
+    if op_count < 0 or flatten_every < 0:
+        raise ValueError("op_count and flatten_every must be non-negative")
     site = Site(b"bench", Role.CORE)
     rng = Random(seed)
     durations = [0.0] * op_count

@@ -228,17 +228,12 @@ class Site:
         self.outbox: list[Operation] = []
         # Causally unready ops, in arrival order (the order they are retried).
         self.pending: dict[Identity, Operation] = {}
-        # Duplicate filter, exact: an identity was recorded iff its seq is at
-        # most its origin's counter (every seq up to it arrived) or it is in
-        # the exception set (it arrived above its origin's counter, out of
-        # order). Exceptions leave the set as the counter passes them.
-        self.delivered_summary: dict[Disambiguator, int] = {}
-        self.delivered_exceptions: set[Identity] = set()
         # Per-epoch state for this site's epoch and later ones only; entries
         # below it are dropped when the site changes epoch. The buffers hold
         # ops of later epochs, deduplicated, until the site enters them.
         # ``epoch_ids`` holds the identities recorded in the current epoch: a
-        # site records only ops of its own epoch.
+        # site records only ops of its own epoch, so this set and ``pending``
+        # are the whole duplicate filter (``deliver`` argues why it is safe).
         self.epoch_buffers: dict[int, dict[Identity, Operation]] = {}
         self.epoch_ids: set[Identity] = set()
         self.announcements: dict[int, FlattenAnnouncement] = {}
@@ -300,37 +295,35 @@ class Site:
                 idents = self.applied_deletes.setdefault(op.tid, [])
                 if ident not in idents:
                     idents.append(ident)
-        origin, seq = ident
-        counter = self.delivered_summary.get(origin, 0)
-        if seq == counter + 1:
-            exceptions = self.delivered_exceptions
-            while (origin, seq + 1) in exceptions:
-                seq += 1
-                exceptions.remove((origin, seq))
-            self.delivered_summary[origin] = seq
-        elif seq > counter:
-            self.delivered_exceptions.add(ident)
 
     # -- remote delivery ----------------------------------------------------
 
     def deliver(self, op: Operation) -> DeliverResult:
         """Replay a remote operation, buffering until causally ready.
 
-        Any number of redeliveries of the same message leaves the replica
-        unchanged. Operations of a later epoch wait in ``epoch_buffers``
-        until this site reaches it. Those of an earlier epoch are dropped:
-        what the core did not commit, its origin's catch-up sends again.
+        Any number of redeliveries leaves the replica unchanged. Operations
+        of a later epoch wait in ``epoch_buffers`` until this site reaches
+        it; those of an earlier one are dropped, since catch-up sends again
+        what the core did not commit. In the epoch, an identity in
+        ``epoch_ids`` or ``pending`` is a duplicate. An identity recorded in
+        an earlier epoch comes back only as a catch-up re-emission, so:
+
+        (a) a committed one is cyan at every nebula, and none re-emits it;
+        (b) an uncommitted insert, and the first uncommitted delete of a node
+            the core kept, are re-emitted by each nebula that holds them,
+            each recording them in its new ``epoch_ids`` before
+            ``_drain_epoch_buffer`` runs;
+        (c) any other uncommitted delete is re-emitted by no nebula (none
+            whose node has a committed delete: a nebula holds every committed
+            identity before it catches up), or it lands on a node tombstoned
+            here: ``ALREADY_TOMBSTONE``, answered ``DUPLICATE``.
         """
         ident = op.identity
-        if op.origin_seq <= self.delivered_summary.get(op.origin, 0):
-            return DeliverResult.DUPLICATE
-        if ident in self.delivered_exceptions:
-            return DeliverResult.DUPLICATE
         if op.epoch != self.replica.epoch:
             if op.epoch > self.replica.epoch:
                 self.epoch_buffers.setdefault(op.epoch, {}).setdefault(ident, op)
             return DeliverResult.WRONG_EPOCH
-        if ident in self.pending:
+        if ident in self.epoch_ids or ident in self.pending:
             return DeliverResult.DUPLICATE
         # The replica raises, unchanged, on an op that is not causally ready.
         try:

@@ -191,6 +191,8 @@ class TID:
     @classmethod
     def decode(cls, data: bytes) -> "TID":
         """Inverse of ``encode``; MalformedTID for bytes it never produces."""
+        if not isinstance(data, (bytes, bytearray, memoryview)):
+            raise MalformedTID(f"encoded TID must be bytes, not {type(data).__name__}")
         data = bytes(data)
         try:
             count, pos = _decode_varint(data, 0)

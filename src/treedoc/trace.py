@@ -128,12 +128,13 @@ def write_trace(events: Iterable[TraceEvent], path: str | Path) -> None:
 
 def read_trace(path: str | Path) -> list[TraceEvent]:
     events: list[TraceEvent] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
+    # Bytes, decoded inside the try: a line that is not UTF-8 gets its location.
+    with open(path, "rb") as fh:
+        for line_no, raw in enumerate(fh, 1):
             try:
+                line = raw.decode("utf-8").rstrip("\r\n")
+                if not line:
+                    continue
                 rev, kind, pos, atom64 = line.split("\t")
                 op_kind = OpKind(kind)
                 if (op_kind is OpKind.INSERT) != bool(atom64):

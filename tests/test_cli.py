@@ -1,3 +1,5 @@
+import pytest
+
 from treedoc.cli import main
 
 
@@ -104,6 +106,16 @@ def test_bench_small_run(capsys):
     out = capsys.readouterr().out
     assert "ops/sec" in out
     assert "flattens" in out
+
+
+@pytest.mark.parametrize(
+    "flags", [["--ops", "-5"], ["--ops", "10", "--flatten-every", "-1"]]
+)
+def test_bench_rejects_negative_counts(flags, capsys):
+    assert main(["bench", *flags]) == 1
+    assert "treedoc: op_count and flatten_every must be non-negative" in (
+        capsys.readouterr().err
+    )
 
 
 def test_demo_catchup(capsys):

@@ -861,8 +861,111 @@ def test_duplicate_filter_matches_a_plain_identity_set(data):
         expected = DeliverResult.APPLIED if fresh else DeliverResult.DUPLICATE
         assert site.deliver(op) is expected
         delivered.add(op.identity)
-    assert site.delivered_exceptions == set()
-    assert site.delivered_summary == dict(zip(origins, counts))
+
+
+def _container_total(site: Site) -> int:
+    return sum(
+        len(value)
+        for value in vars(site).values()
+        if isinstance(value, (set, dict, list))
+    )
+
+
+def test_dropped_racing_delete_leaves_no_identity_state_behind():
+    # Each round the nebula deletes an atom the core deletes too, and its
+    # delete never reaches the core: the core flattens alone, and catch-up
+    # drops the racing delete as redundant. The nebula then goes on editing.
+    # No site may keep identity state that grows with the rounds.
+    core, nebula = _core_and_nebula()
+    totals = {}
+    for round_no in range(1, 41):
+        core.submit_local(OpKind.INSERT, position=0, atom=b"x")
+        _ship(core, nebula)
+        nebula.submit_local(OpKind.DELETE, position=0)
+        nebula.outbox.clear()
+        core.submit_local(OpKind.DELETE, position=0)
+        _ship(core, nebula)
+        outcome = initiate_flatten(core, [core])
+        nebula.receive_decision(outcome.announcement)
+        assert nebula.maybe_catch_up() == []
+        nebula.submit_local(OpKind.INSERT, position=0, atom=b"n")
+        _ship(nebula, core)
+        for site in (core, nebula):
+            site.take_delivered()
+        if round_no in (10, 40):
+            totals[round_no] = [_container_total(s) for s in (core, nebula)]
+    assert core.replica.structurally_equal(nebula.replica)
+    assert totals[10] == totals[40]
+
+
+def test_re_emitted_delete_of_a_node_the_receiver_tombstoned_is_a_duplicate():
+    # N1 receives N2's delete of an atom both deleted; the core kept the
+    # atom and flattens alone. Each nebula re-emits its own delete, and each
+    # one reaches the other nebula in the new epoch (argument (c) of
+    # ``Site.deliver``).
+    core = Site(b"A", Role.CORE)
+    n1 = Site(b"N1", Role.NEBULA)
+    n2 = Site(b"N2", Role.NEBULA)
+    core.submit_local(OpKind.INSERT, position=0, atom=b"a")
+    core.submit_local(OpKind.INSERT, position=1, atom=b"b")
+    ops, core.outbox = core.outbox, []
+    for op in ops:
+        n1.deliver(op)
+        n2.deliver(op)
+    d1 = n1.submit_local(OpKind.DELETE, position=0)
+    d2 = n2.submit_local(OpKind.DELETE, position=0)
+    n1.outbox.clear()
+    n2.outbox.clear()
+    assert n1.deliver(d2) is DeliverResult.DUPLICATE
+    outcome = initiate_flatten(core, [core])
+    for site in (n1, n2):
+        site.receive_decision(outcome.announcement)
+    e1 = n1.maybe_catch_up()
+    e2 = n2.maybe_catch_up()
+    assert [op.identity for op in e1] == [d1.identity]
+    assert [op.identity for op in e2] == [d2.identity]
+    for receiver, emitted in ((n2, e1), (n1, e2)):
+        before = receiver.replica.state_digest()
+        for op in emitted:
+            assert receiver.deliver(op) is DeliverResult.DUPLICATE
+        assert receiver.replica.state_digest() == before
+    for op in e1 + e2:
+        core.deliver(op)
+    assert core.replica.text() == n1.replica.text() == n2.replica.text() == "b"
+    assert core.replica.structurally_equal(n1.replica)
+    assert core.replica.structurally_equal(n2.replica)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_redelivery_after_flattens_is_a_wrong_epoch(data):
+    a, b = make_cores(2)
+    nebula = Site(b"N", Role.NEBULA)
+    sites = [a, b, nebula]
+    rng = Random(data.draw(st.integers(0, 2**16)))
+    delivered = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        for _ in range(data.draw(st.integers(1, 8))):
+            site = rng.choice(sites)
+            live = site.replica.live_count
+            if live and rng.random() < 0.3:
+                site.submit_local(OpKind.DELETE, position=rng.randrange(live))
+            else:
+                site.submit_local(
+                    OpKind.INSERT, position=rng.randint(0, live), atom=b"e"
+                )
+            delivered.extend(site.outbox)
+            gossip(sites)
+        outcome = initiate_flatten(a, [a, b])
+        assert outcome.committed
+        nebula.receive_decision(outcome.announcement)
+        assert nebula.maybe_catch_up() == []
+    op = data.draw(st.sampled_from(delivered))
+    for site in sites:
+        before = site.replica.state_digest()
+        assert site.deliver(op) is DeliverResult.WRONG_EPOCH
+        assert site.replica.state_digest() == before
+        assert site.epoch_buffers == {}
 
 
 def test_canonical_string_is_kept_on_the_op_outside_equality():

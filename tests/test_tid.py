@@ -128,6 +128,19 @@ def test_decode_rejects_truncated_and_padded_input():
         TID.decode(encoded + b"\x00")
 
 
+@pytest.mark.parametrize("data", [3, [1, 65, 0], "\x01\x01A", None])
+def test_decode_rejects_input_that_is_not_bytes(data):
+    with pytest.raises(MalformedTID, match="must be bytes"):
+        TID.decode(data)
+
+
+def test_decode_accepts_any_bytes_like_input():
+    t = tid((1, 0))
+    encoded = t.encode()
+    for data in (encoded, bytearray(encoded), memoryview(encoded)):
+        assert TID.decode(data) == t
+
+
 def test_malformed_tids_rejected():
     with pytest.raises(MalformedTID):
         TID(b"")  # empty disambiguator

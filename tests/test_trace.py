@@ -152,6 +152,22 @@ def test_read_trace_rejects_malformed_line_with_its_number(tmp_path, bad_line):
         read_trace(path)
 
 
+def test_read_trace_reports_a_line_that_is_not_utf8_with_its_number(tmp_path):
+    path = tmp_path / "bad.trace"
+    path.write_bytes(b"0\tinsert\t0\tYQ==\n1\tinsert\t0\t\xffYQ==\n")
+    with pytest.raises(ValueError, match=r"bad\.trace:2: malformed trace line"):
+        read_trace(path)
+
+
+def test_read_trace_accepts_crlf_line_ends(tmp_path):
+    path = tmp_path / "crlf.trace"
+    path.write_bytes(b"0\tinsert\t0\tYQ==\r\n\r\n1\tdelete\t0\t\r\n")
+    assert read_trace(path) == [
+        TraceEvent(0, OpKind.INSERT, 0, b"a"),
+        TraceEvent(1, OpKind.DELETE, 0, None),
+    ]
+
+
 # -- replay metrics ----------------------------------------------------------------
 
 
