@@ -8,7 +8,7 @@ from typing import Optional
 
 from . import bench, sim, trace
 from .errors import TreedocError
-from .protocol import CatchUpBatch, OpKind, Role, Site, initiate_flatten
+from .protocol import OpKind, Role, Site, initiate_flatten
 
 
 class _Parser(argparse.ArgumentParser):
@@ -177,8 +177,7 @@ def _cmd_demo_catchup() -> int:
         atom = f" atom={op.atom!r}" if op.atom is not None else ""
         print(f"  {op.kind.value} tid={op.tid.pretty()}{atom} "
               f"identity=({op.origin.decode()},{op.origin_seq})")
-    batch = CatchUpBatch(nebula.id, tuple(emissions))
-    for op in batch.ops:
+    for op in emissions:
         core.deliver(op)
     print("\nafter the core replays the batch:")
     print(f"  core text   {core.replica.text()!r}")

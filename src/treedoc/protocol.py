@@ -17,12 +17,16 @@ TIDs. Operations carry their epoch and apply only in it: a replica buffers
 those of a later epoch and drops those of an earlier one. A lagging nebula
 site re-enters the current epoch through the cyan/black catch-up below,
 which sends its uncommitted operations again under new TIDs.
+
+Messages are the protocol's own values (``Operation``, ``PrepareMessage``,
+``Vote``, ``FlattenAnnouncement``); how they travel, and the text a log
+keeps of them, belong to the transport (``treedoc.sim``).
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, NamedTuple, Optional
 
@@ -31,7 +35,7 @@ from .errors import (
     EpochMismatch, InvariantViolation, MissingAncestor, MissingTarget, ProtocolError
 )
 from .flatten import balanced_tid, build_balanced, flat_digest, flatten_for_commit
-from .tid import LEFT, RIGHT, Disambiguator, PathElement, TID
+from .tid import LEFT, RIGHT, Disambiguator, PathElement, TID, _check_disambiguator
 
 Identity = tuple[Disambiguator, int]
 # Catch-up's black effects: node -> (uncommitted insert, delete to emit).
@@ -66,7 +70,15 @@ class AbortReason(Enum):
     TIMEOUT = "timeout"
 
 
-class _OperationFields(NamedTuple):
+class Operation(NamedTuple):
+    """An epoch-tagged insert or delete exchanged between sites.
+
+    ``(origin, origin_seq)`` identifies the operation for its whole life:
+    catch-up translation renames the TID but keeps the identity. A plain
+    tuple, so it is immutable and cheap to build; equality and hash are the
+    fields'.
+    """
+
     epoch: int
     kind: OpKind
     tid: TID
@@ -74,37 +86,9 @@ class _OperationFields(NamedTuple):
     origin: Disambiguator
     origin_seq: int
 
-
-class Operation(_OperationFields):
-    """An epoch-tagged insert or delete exchanged between sites.
-
-    ``(origin, origin_seq)`` identifies the operation for its whole life:
-    catch-up translation renames the TID but keeps the identity. A tuple of
-    its fields, so it is immutable and cheap to build; equality and hash are
-    the fields'.
-    """
-
-    # One op is serialized for logs once, not once per send and delivery;
-    # the string lives and dies with the op, outside its fields.
-    _canonical: Optional[str] = None
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Operation is immutable")
-
     @property
     def identity(self) -> Identity:
         return (self.origin, self.origin_seq)
-
-    def canonical(self) -> str:
-        text = self._canonical
-        if text is None:
-            atom = "" if self.atom is None else self.atom.hex()
-            text = (
-                f"{self.epoch}:{self.kind.value}:{self.tid.encode().hex()}"
-                f":{atom}:{self.origin.hex()}:{self.origin_seq}"
-            )
-            object.__setattr__(self, "_canonical", text)
-        return text
 
 
 @dataclass(frozen=True)
@@ -152,64 +136,6 @@ def ids_digest(ids: Iterable[Identity]) -> str:
     return h.hexdigest()
 
 
-# -- wire message kinds (canonical forms used by the simulator's logs) -----
-
-
-@dataclass(frozen=True)
-class OpMessage:
-    op: Operation
-
-    def canonical(self) -> str:
-        return f"op|{self.op.canonical()}"
-
-
-@dataclass(frozen=True)
-class Prepare:
-    prepare: PrepareMessage
-
-    def canonical(self) -> str:
-        p = self.prepare
-        return f"prepare|{p.coordinator.hex()}|{p.old_epoch}|{p.op_set_digest}"
-
-
-@dataclass(frozen=True)
-class VoteMsg:
-    vote: Vote
-
-    def canonical(self) -> str:
-        return f"vote|{self.vote.voter.hex()}|{self.vote.decision.value}"
-
-
-@dataclass(frozen=True)
-class Decision:
-    """A committed flatten, as sent to the nebula sites."""
-
-    announcement: FlattenAnnouncement
-    # Logged at every receipt; the identity set is digested once.
-    _canonical: Optional[str] = field(
-        default=None, init=False, compare=False, repr=False
-    )
-
-    def canonical(self) -> str:
-        text = self._canonical
-        if text is None:
-            ann = self.announcement
-            ids = ids_digest(ann.committed_ids)
-            text = f"decision|committed|{ann.new_epoch}|{ann.doc_digest}|{ids}"
-            object.__setattr__(self, "_canonical", text)
-        return text
-
-
-@dataclass(frozen=True)
-class CatchUpBatch:
-    sender: Disambiguator
-    ops: tuple[Operation, ...]
-
-    def canonical(self) -> str:
-        body = ";".join(op.canonical() for op in self.ops)
-        return f"catchup|{self.sender.hex()}|{body}"
-
-
 def causal_ready(replica: Treedoc, op: Operation) -> bool:
     """Structural delivery condition; no vector clocks involved."""
     if op.kind is OpKind.DELETE:
@@ -221,6 +147,7 @@ class Site:
     """A replica plus its buffers, counters, and role."""
 
     def __init__(self, site_id: Disambiguator, role: Role):
+        _check_disambiguator(site_id)
         self.id = site_id
         self.role = role
         self.replica = Treedoc()
@@ -706,14 +633,14 @@ def initiate_flatten(
     prepare = PrepareMessage(coordinator.id, old_epoch, coordinator.epoch_ids_digest())
     for member in members:
         if observer is not None:
-            observer(coordinator.id, member.id, Prepare(prepare))
+            observer(coordinator.id, member.id, prepare)
         if member.crashed:
             return FlattenOutcome(False, reason=AbortReason.CRASHED_MEMBER)
         if member.unreachable:
             return FlattenOutcome(False, reason=AbortReason.TIMEOUT)
         vote = member.vote_on_prepare(prepare)
         if observer is not None:
-            observer(member.id, coordinator.id, VoteMsg(vote))
+            observer(member.id, coordinator.id, vote)
         if vote.decision is VoteDecision.NO:
             return FlattenOutcome(False, reason=AbortReason.NO_VOTE)
     committed_ids = frozenset(coordinator.epoch_ids)

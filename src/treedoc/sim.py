@@ -16,6 +16,12 @@ per operation.
 
 Crashed sites queue inbound messages and process them on recovery
 (crash-recovery, no amnesia).
+
+Messages are the protocol's own values (an ``Operation``, a decision's
+``FlattenAnnouncement``, a ``CatchUpBatch``; prepares and votes reach the
+log through ``initiate_flatten``'s observer). ``_text`` writes a message's
+log text once per send, the text travels with it, and the log keeps its
+digest.
 """
 
 from __future__ import annotations
@@ -24,20 +30,21 @@ import hashlib
 import heapq
 from dataclasses import dataclass, field
 from random import Random
-from typing import Optional
+from typing import NamedTuple, Optional
 
+from . import protocol
 from .errors import NonConvergenceError
 from .protocol import (
-    CatchUpBatch,
-    Decision,
     DeliverResult,
+    FlattenAnnouncement,
     OpKind,
-    OpMessage,
     Operation,
+    PrepareMessage,
     Role,
     Site,
     initiate_flatten,
 )
+from .tid import Disambiguator
 from .trace import write_csv
 
 EventLogEntry = tuple[int, str, str, str]
@@ -76,6 +83,8 @@ class SimConfig:
             raise ValueError("max_delay must be at least 1 tick")
         if self.flatten_interval < 0:
             raise ValueError("flatten_interval must be non-negative")
+        if self.fault_drop_message is not None and self.fault_drop_message < 1:
+            raise ValueError("fault_drop_message counts sends from 1")
         total = self.core_count + self.nebula_count
         for window in self.crash_schedule:
             if not 0 <= window.site_index < total:
@@ -115,6 +124,36 @@ def check_convergence(sites: list[Site]) -> tuple[bool, str, str]:
     return True, "", ref_digest
 
 
+class CatchUpBatch(NamedTuple):
+    """A nebula's catch-up emissions, sent to every core site at once."""
+
+    sender: Disambiguator
+    ops: tuple[Operation, ...]
+
+
+def _op_text(op: Operation) -> str:
+    atom = "" if op.atom is None else op.atom.hex()
+    return (
+        f"{op.epoch}:{op.kind.value}:{op.tid.encode().hex()}"
+        f":{atom}:{op.origin.hex()}:{op.origin_seq}"
+    )
+
+
+def _text(kind: str, msg) -> str:
+    """The log text of a message of ``kind``: every field that reaches the
+    receiver, an op's TID wire-encoded and a committed set as its digest."""
+    if kind == "op":
+        return f"op|{_op_text(msg)}"
+    if kind == "catchup":
+        return f"catchup|{msg.sender.hex()}|{';'.join(map(_op_text, msg.ops))}"
+    if kind == "decision":
+        ids = protocol.ids_digest(msg.committed_ids)
+        return f"decision|committed|{msg.new_epoch}|{msg.doc_digest}|{ids}"
+    if kind == "prepare":
+        return f"prepare|{msg.coordinator.hex()}|{msg.old_epoch}|{msg.op_set_digest}"
+    return f"vote|{msg.voter.hex()}|{msg.decision.value}"  # kind "votemsg"
+
+
 def _digest(payload: str) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:12]
 
@@ -133,13 +172,14 @@ class Network:
             self.sites.append(Site(f"n{i:02d}".encode(), Role.NEBULA))
         self.core_sites = self.sites[: config.core_count]
         self.nebula_sites = self.sites[config.core_count :]
-        self._index = {site.id: i for i, site in enumerate(self.sites)}
         self._roles = {site.id: site.role for site in self.sites}
+        # (tick, seq, kind, payload); a message's payload is (destination
+        # site, message, log text), and its kind is "op", "decision" or "catchup".
         self.heap: list[tuple[int, int, str, object]] = []
         self._seq = 0
         self.event_log: list[EventLogEntry] = []
         self.metrics: list[MetricsRow] = []
-        self._held: dict[int, list[object]] = {i: [] for i in range(len(self.sites))}
+        self._held: dict[Site, list[tuple]] = {site: [] for site in self.sites}
         self._sent = 0
         self._last_sample: Optional[tuple[int, int, int]] = None
 
@@ -149,13 +189,13 @@ class Network:
         self._seq += 1
         heapq.heappush(self.heap, (tick, self._seq, kind, payload))
 
-    def _send(self, dst_index: int, msg, now: int) -> None:
+    def _send(self, dst: Site, kind: str, msg, text: str, now: int) -> None:
         self._sent += 1
         if (
             self.config.fault_drop_message is not None
             and self._sent == self.config.fault_drop_message
         ):
-            self._log(now, "net", "fault_drop", msg.canonical())
+            self._log(now, "net", "fault_drop", text)
             return
         delay = self.rng.randint(1, self.config.max_delay)
         if (
@@ -164,22 +204,22 @@ class Network:
         ):
             # Lost once, retransmitted later: same message, longer wait.
             delay += self.rng.randint(1, self.config.max_delay)
-        self._push(now + delay, "msg", (dst_index, msg))
+        delivery = (dst, msg, text)
+        self._push(now + delay, kind, delivery)
         if (
             self.config.duplicate_prob > 0
             and self.rng.random() < self.config.duplicate_prob
         ):
             dup_delay = self.rng.randint(1, self.config.max_delay)
-            self._push(now + dup_delay, "msg", (dst_index, msg))
+            self._push(now + dup_delay, kind, delivery)
 
-    def _broadcast_op(self, origin: Site, op: Operation, now: int) -> None:
+    def _broadcast_op(self, origin: Site, op: Operation, text: str, now: int) -> None:
         if origin.role is Role.CORE:
             targets = [s for s in self.sites if s is not origin]
         else:
             targets = list(self.core_sites)
-        msg = OpMessage(op)
         for dst in targets:
-            self._send(self._index[dst.id], msg, now)
+            self._send(dst, "op", op, text, now)
 
     def _log(self, tick: int, site: object, kind: str, payload: str) -> None:
         label = site if isinstance(site, str) else site.id.decode()
@@ -217,8 +257,9 @@ class Network:
                 OpKind.INSERT, position=self.rng.randint(0, live), atom=atom
             )
         site.outbox.clear()  # dispatched right here
-        self._log(now, site, "submit", op.canonical())
-        self._broadcast_op(site, op, now)
+        text = _op_text(op)
+        self._log(now, site, "submit", text)
+        self._broadcast_op(site, op, f"op|{text}", now)
 
     def _handle_flatten(self, attempt: int, now: int) -> None:
         coordinator = self.core_sites[attempt % len(self.core_sites)]
@@ -230,7 +271,8 @@ class Network:
             coordinator = alive[0]
 
         def observe(src: bytes, dst: bytes, msg) -> None:
-            self._log(now, src.decode(), f"send_{type(msg).__name__.lower()}", msg.canonical())
+            kind = "prepare" if isinstance(msg, PrepareMessage) else "votemsg"
+            self._log(now, src.decode(), f"send_{kind}", _text(kind, msg))
 
         outcome = initiate_flatten(coordinator, self.core_sites, observer=observe)
         if outcome.committed:
@@ -240,61 +282,68 @@ class Network:
                 "flatten_commit",
                 f"epoch {outcome.new_epoch} {outcome.announcement.doc_digest}",
             )
-            decision = Decision(outcome.announcement)
-            for nb in self.nebula_sites:
-                self._send(self._index[nb.id], decision, now)
+            if self.nebula_sites:
+                ann = outcome.announcement
+                text = _text("decision", ann)
+                for nb in self.nebula_sites:
+                    self._send(nb, "decision", ann, text, now)
         else:
             self._log(now, coordinator, "flatten_abort", outcome.reason.value)
 
-    def _handle_msg(self, dst_index: int, msg, now: int) -> None:
-        site = self.sites[dst_index]
-        if site.crashed:
-            self._held[dst_index].append(msg)
-            return
-        if isinstance(msg, OpMessage):
-            result = site.deliver(msg.op)
-            self._log(now, site, f"recv_{result.value}", msg.canonical())
-            self._after_delivery(site, now)
-        elif isinstance(msg, Decision):
-            site.receive_decision(msg.announcement)
-            self._log(now, site, "recv_decision", msg.canonical())
-            self._after_delivery(site, now)
-        elif isinstance(msg, CatchUpBatch):
-            results = [site.deliver(op) for op in msg.ops]
-            applied = sum(1 for r in results if r is DeliverResult.APPLIED)
-            self._log(now, site, "recv_catchup", f"{msg.canonical()}|applied={applied}")
-            self._after_delivery(site, now)
-        else:  # pragma: no cover - unknown message kinds are a bug
-            raise TypeError(f"unroutable message {msg!r}")
+    def _recv_op(self, site: Site, op: Operation, text: str, now: int) -> None:
+        result = site.deliver(op)
+        self._log(now, site, f"recv_{result.value}", text)
+        self._after_delivery(site, now, op, text)
 
-    def _after_delivery(self, site: Site, now: int) -> None:
+    def _recv_decision(
+        self, site: Site, ann: FlattenAnnouncement, text: str, now: int
+    ) -> None:
+        site.receive_decision(ann)
+        self._log(now, site, "recv_decision", text)
+        self._after_delivery(site, now)
+
+    def _recv_catchup(
+        self, site: Site, batch: CatchUpBatch, text: str, now: int
+    ) -> None:
+        results = [site.deliver(op) for op in batch.ops]
+        applied = sum(1 for r in results if r is DeliverResult.APPLIED)
+        self._log(now, site, "recv_catchup", f"{text}|applied={applied}")
+        self._after_delivery(site, now)
+
+    def _after_delivery(
+        self, site: Site, now: int, op: Optional[Operation] = None, text: str = ""
+    ) -> None:
+        """Relay or catch up after a delivery; ``op`` came with log text ``text``."""
         delivered = site.take_delivered()
         if site.role is Role.CORE:
-            # The core relays nebula content to the rest of the nebula.
-            for op in delivered:
-                if self._roles.get(op.origin) is Role.NEBULA:
-                    msg = OpMessage(op)
+            # The core relays nebula content to the rest of the nebula. An op
+            # drained from pending or taken from a batch needs its own text.
+            for relayed in delivered:
+                origin = relayed.origin
+                if self._roles.get(origin) is Role.NEBULA:
+                    msg_text = text if relayed is op else _text("op", relayed)
                     for nb in self.nebula_sites:
-                        if nb.id != op.origin:
-                            self._send(self._index[nb.id], msg, now)
+                        if nb.id != origin:
+                            self._send(nb, "op", relayed, msg_text, now)
         else:
             emissions = site.maybe_catch_up()
             site.take_delivered()  # buffer drains inside catch-up are local
             if emissions:
                 batch = CatchUpBatch(site.id, tuple(emissions))
-                self._log(now, site, "catchup_emit", batch.canonical())
+                batch_text = _text("catchup", batch)
+                self._log(now, site, "catchup_emit", batch_text)
                 for core in self.core_sites:
-                    self._send(self._index[core.id], batch, now)
+                    self._send(core, "catchup", batch, batch_text, now)
 
     def _handle_crash(self, site_index: int, up: bool, now: int) -> None:
         site = self.sites[site_index]
         site.crashed = not up
         self._log(now, site, "recover" if up else "crash", str(now))
-        if up and self._held[site_index]:
-            held = self._held[site_index]
-            self._held[site_index] = []
-            for msg in held:
-                self._push(now, "msg", (site_index, msg))
+        if up and self._held[site]:
+            held = self._held[site]
+            self._held[site] = []
+            for kind, delivery in held:
+                self._push(now, kind, delivery)
 
     # -- main loop ----------------------------------------------------------
 
@@ -326,15 +375,21 @@ class Network:
                 last_tick = now
                 if kind == "gen":
                     self._handle_gen(now)
-                elif kind == "msg":
-                    dst_index, msg = payload
-                    self._handle_msg(dst_index, msg, now)
                 elif kind == "flatten":
                     self._handle_flatten(payload, now)
                 elif kind == "crash_down":
                     self._handle_crash(payload, False, now)
                 elif kind == "crash_up":
                     self._handle_crash(payload, True, now)
+                elif payload[0].crashed:
+                    # A message, held until its destination recovers.
+                    self._held[payload[0]].append((kind, payload))
+                elif kind == "op":
+                    self._recv_op(*payload, now)
+                elif kind == "decision":
+                    self._recv_decision(*payload, now)
+                elif kind == "catchup":
+                    self._recv_catchup(*payload, now)
                 self._maybe_sample(now)
             # Safety sweep: any catch-up that became possible right at the end.
             extra = False
@@ -343,8 +398,9 @@ class Network:
                 nb.take_delivered()
                 if emissions:
                     batch = CatchUpBatch(nb.id, tuple(emissions))
+                    text = _text("catchup", batch)
                     for core in self.core_sites:
-                        self._send(self._index[core.id], batch, last_tick)
+                        self._send(core, "catchup", batch, text, last_tick)
                     extra = True
             if not extra:
                 break

@@ -39,9 +39,13 @@ class PathElement(NamedTuple):
     disambiguator: Disambiguator
 
 
+# Commit digests pack each disambiguator's length in two bytes.
+MAX_DISAMBIGUATOR = 0xFFFF
+
+
 def _check_disambiguator(dis: bytes) -> None:
-    if not isinstance(dis, bytes) or len(dis) == 0:
-        raise MalformedTID(f"disambiguator must be non-empty bytes, got {dis!r}")
+    if not isinstance(dis, bytes) or not 0 < len(dis) <= MAX_DISAMBIGUATOR:
+        raise MalformedTID(f"not a disambiguator of 1 to 65535 bytes: {dis!r:.40}")
 
 
 class TID:
@@ -204,8 +208,8 @@ class TID:
             pairs = []
             for i in range(count):
                 length, pos = _decode_varint(data, pos)
-                if not length:
-                    raise MalformedTID("empty disambiguator in encoded TID")
+                if not 0 < length <= MAX_DISAMBIGUATOR:
+                    raise MalformedTID(f"{length}-byte disambiguator in encoded TID")
                 dis = data[pos : pos + length]
                 pos += length
                 pairs.append(PathElement(data[bits + (i >> 3)] >> (i & 7) & 1, dis))

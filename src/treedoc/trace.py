@@ -126,6 +126,13 @@ def write_trace(events: Iterable[TraceEvent], path: str | Path) -> None:
             fh.write(f"{ev.revision}\t{ev.kind.value}\t{ev.position}\t{atom}\n")
 
 
+def _decimal(field: str) -> int:
+    # int() also takes signs, spaces, underscores and non-ASCII digits.
+    if not (field.isascii() and field.isdigit()):
+        raise ValueError(f"expected a decimal count, got {field!r}")
+    return int(field)
+
+
 def read_trace(path: str | Path) -> list[TraceEvent]:
     events: list[TraceEvent] = []
     # Bytes, decoded inside the try: a line that is not UTF-8 gets its location.
@@ -140,9 +147,9 @@ def read_trace(path: str | Path) -> list[TraceEvent]:
                 if (op_kind is OpKind.INSERT) != bool(atom64):
                     raise ValueError("an insert needs an atom, a delete takes none")
                 event = TraceEvent(
-                    int(rev),
+                    _decimal(rev),
                     op_kind,
-                    int(pos),
+                    _decimal(pos),
                     base64.b64decode(atom64, validate=True) if atom64 else None,
                 )
             except (ValueError, KeyError) as exc:

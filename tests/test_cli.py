@@ -127,3 +127,12 @@ def test_demo_catchup(capsys):
     assert "cyan list: [a, c (black tombstone)]" in out
     assert "structurally equal: True" in out
     assert "'ab'" in out
+
+
+@pytest.mark.parametrize("drop", ["0", "-3"])
+def test_simulate_rejects_an_injected_drop_below_one(tmp_path, capsys, drop):
+    out = tmp_path / "log.csv"
+    code = main(["simulate", "--ops", "20", "--inject-drop", drop, "--out", str(out)])
+    assert code == 1
+    assert "treedoc: fault_drop_message counts sends from 1" in capsys.readouterr().err
+    assert not out.exists()

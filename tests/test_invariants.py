@@ -6,7 +6,9 @@ import pytest
 
 from treedoc import (
     InvariantViolation,
+    MalformedTID,
     OpKind,
+    Operation,
     ProtocolError,
     Role,
     Site,
@@ -16,7 +18,7 @@ from treedoc import (
 from treedoc import bench
 from treedoc.core import MiniNode, Treedoc
 from treedoc.protocol import AbortReason, FlattenOutcome
-from treedoc.tid import LEFT
+from treedoc.tid import LEFT, RIGHT, PathElement
 
 from conftest import build_abcdef
 
@@ -45,6 +47,31 @@ def test_commit_rejects_a_member_with_altered_atoms():
     cores[2].replica.find(tid_b).atom = b"B"  # same shape, other bytes
     with pytest.raises(InvariantViolation, match="disagree"):
         initiate_flatten(cores[0], cores)
+
+
+def test_a_disambiguator_too_long_for_the_commit_digest_never_reaches_a_replica():
+    # Once applied, such a node broke the next commit half-way: the digest
+    # could not pack its length after the tree had been relinked.
+    core = Site(b"A", Role.CORE)
+    for i in range(5):
+        core.submit_local(OpKind.INSERT, position=i, atom=b"%d" % i)
+    core.outbox.clear()
+    long = b"z" * 70000
+    last = core.replica.tid_of_live_index(4)
+    wire = TID._make(last.root_disambiguator, (*last.path, PathElement(RIGHT, long)))
+    with pytest.raises(MalformedTID):
+        TID.decode(wire.encode())
+    with pytest.raises(MalformedTID):
+        Operation(0, OpKind.INSERT, last.child(RIGHT, long), b"Z", long, 1)
+    with pytest.raises(MalformedTID):
+        core.replica.insert_at(5, long, b"Z")
+    with pytest.raises(MalformedTID):
+        Site(long, Role.CORE)
+    assert core.replica.text() == "01234"
+    assert initiate_flatten(core, [core]).committed
+    assert core.replica.text() == "01234"
+    assert core.replica.counters_consistent()
+    core.replica.state_digest()
 
 
 def _nebula_and_announcement():

@@ -162,7 +162,12 @@ def test_insert_at_an_empty_site_is_malformed():
                 doc.insert_at(i, b"", b"x")
         assert doc.state_digest() == digest
         assert doc.counters_consistent()
-    site = Site(b"", Role.CORE)
+    # A site refuses an id it could never insert under, and an insert under
+    # one leaves no trace.
+    with pytest.raises(MalformedTID):
+        Site(b"", Role.CORE)
+    site = Site(b"A", Role.CORE)
+    site.id = b""
     with pytest.raises(MalformedTID):
         site.submit_local(OpKind.INSERT, position=0, atom=b"x")
     assert site.next_seq == 1 and not site.outbox

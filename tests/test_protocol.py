@@ -21,7 +21,7 @@ from treedoc import (
     ids_digest,
     initiate_flatten,
 )
-from treedoc.protocol import Decision, PrepareMessage
+from treedoc.protocol import PrepareMessage
 
 from conftest import build_abcdef, tid
 
@@ -303,27 +303,6 @@ def test_epoch_isolation_never_applies_across_epochs():
     before = site.replica.state_digest()
     assert site.deliver(newer) is DeliverResult.WRONG_EPOCH
     assert site.replica.state_digest() == before
-
-
-def test_decision_digests_its_identity_set_once(monkeypatch):
-    site = Site(b"A", Role.CORE)
-    site.submit_local(OpKind.INSERT, position=0, atom=b"a")
-    site.outbox.clear()
-    ann = initiate_flatten(site, [site]).announcement
-    real = protocol.ids_digest
-    calls = []
-
-    def counted(ids):
-        calls.append(ids)
-        return real(ids)
-
-    monkeypatch.setattr(protocol, "ids_digest", counted)
-    decision = Decision(ann)
-    receipts = [decision.canonical() for _ in range(3)]
-    assert len(calls) == 1
-    ids = real(ann.committed_ids)
-    assert receipts == [f"decision|committed|1|{ann.doc_digest}|{ids}"] * 3
-    assert decision == Decision(ann)
 
 
 # -- colors ---------------------------------------------------------------------
@@ -968,17 +947,14 @@ def test_redelivery_after_flattens_is_a_wrong_epoch(data):
         assert site.epoch_buffers == {}
 
 
-def test_canonical_string_is_kept_on_the_op_outside_equality():
+def test_operation_is_a_plain_immutable_tuple():
     op = Operation(0, OpKind.INSERT, TID(b"X"), b"x", b"X", 1)
     twin = Operation(0, OpKind.INSERT, TID(b"X"), b"x", b"X", 1)
-    text = op.canonical()
-    assert op.canonical() is text
     assert op == twin and hash(op) == hash(twin)
-    assert twin.canonical() == text == f"0:insert:{TID(b'X').encode().hex()}:78:58:1"
-    assert "_canonical" not in repr(op)
+    assert not hasattr(op, "__dict__")
     with pytest.raises(AttributeError):
         op.tid = TID(b"Y")
-    assert op.tid == TID(b"X") and op.canonical() is text
+    assert op.tid == TID(b"X")
 
 
 def test_submit_needs_a_position_or_a_tid():

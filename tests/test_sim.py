@@ -6,12 +6,14 @@ from treedoc import (
     CrashWindow,
     NonConvergenceError,
     OpKind,
+    Operation,
     Role,
     SimConfig,
     Site,
+    TID,
     initiate_flatten,
 )
-from treedoc import sim
+from treedoc import protocol, sim
 
 
 def test_single_site_converges_trivially():
@@ -189,6 +191,9 @@ def test_config_validation():
         SimConfig(crash_schedule=(CrashWindow(9, 0, 10),)).validate()
     with pytest.raises(ValueError):
         SimConfig(crash_schedule=(CrashWindow(0, 10, 5),)).validate()
+    for drop in (0, -1):  # a drop that never fires
+        with pytest.raises(ValueError, match="fault_drop_message"):
+            SimConfig(fault_drop_message=drop).validate()
 
 
 def test_soak_site_metadata_holds_the_current_epoch_only():
@@ -244,3 +249,55 @@ def test_single_core_site_metadata_does_not_grow_with_history():
             sizes[i] = _metadata_sizes(site)
     assert site.replica.epoch == 20
     assert sizes[5_000] == sizes[20_000]
+
+
+@pytest.mark.parametrize("nebulas", [0, 2])
+def test_decision_digests_the_committed_set_once_per_commit(monkeypatch, nebulas):
+    # The digest goes into the decision's log text, built once per commit
+    # for all its receipts; prepares digest the epoch's (mutable) set.
+    real = protocol.ids_digest
+    committed_sets = []
+
+    def counted(ids):
+        if isinstance(ids, frozenset):
+            committed_sets.append(ids)
+        return real(ids)
+
+    monkeypatch.setattr(protocol, "ids_digest", counted)
+    config = SimConfig(seed=9, core_count=3, nebula_count=nebulas, op_count=400,
+                       flatten_interval=100, duplicate_prob=0.2)
+    result = sim.run(config)
+    assert result.converged
+    kinds = [kind for _, _, kind, _ in result.event_log]
+    commits = kinds.count("flatten_commit")
+    assert commits >= 2
+    assert len(committed_sets) == (commits if nebulas else 0)
+    assert kinds.count("recv_decision") >= commits * nebulas
+
+
+def test_op_log_text_lists_every_field_once():
+    op = Operation(0, OpKind.INSERT, TID(b"X"), b"x", b"X", 1)
+    text = f"0:insert:{TID(b'X').encode().hex()}:78:58:1"
+    assert sim._op_text(op) == text
+    assert sim._text("op", op) == f"op|{text}"
+    batch = sim.CatchUpBatch(b"N", (op, op))
+    assert sim._text("catchup", batch) == f"catchup|4e|{text};{text}"
+
+
+def test_flatten_mid_stream_reaches_the_catch_up_batch_path():
+    # A flatten fires while nebula edits are still in flight, so nebula
+    # sites emit catch-up batches that the core sites then relay; generated
+    # configs flatten only in quiet windows and never get here.
+    emitting = 0
+    for seed in range(5):
+        for tick in range(20, 81, 3):
+            net = sim.Network(SimConfig(seed=seed, core_count=2, nebula_count=2,
+                                        op_count=150))
+            net._push(tick, "flatten", 0)
+            result = net.run()
+            assert result.converged, (seed, tick, result.diff)
+            kinds = [kind for _, _, kind, _ in result.event_log]
+            emits = kinds.count("catchup_emit")
+            assert kinds.count("recv_catchup") >= 2 * emits
+            emitting += emits > 0
+    assert emitting >= 3

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from treedoc import LEFT, RIGHT, TID, MalformedTID, PathElement, compare_tid
+from treedoc.tid import MAX_DISAMBIGUATOR
 
 from conftest import build_abcdef, random_doc, tid
 
@@ -191,6 +192,24 @@ def test_decode_accepts_only_what_encode_produces(data):
     except MalformedTID:
         return
     assert decoded.encode() == data
+
+
+def test_disambiguator_longer_than_the_commit_digest_allows_is_rejected():
+    # flat_digest packs each disambiguator's length in two bytes.
+    edge = b"x" * MAX_DISAMBIGUATOR
+    long = edge + b"x"
+    at_edge = TID(b"A", ((RIGHT, edge),))
+    assert TID.decode(at_edge.encode()) == at_edge
+    with pytest.raises(MalformedTID):
+        TID(long)
+    with pytest.raises(MalformedTID):
+        TID(b"A", ((RIGHT, long),))
+    with pytest.raises(MalformedTID):
+        TID(b"A").child(RIGHT, long)
+    # The encoding can spell one; decoding refuses it.
+    for bad in (TID._make(long, ()), TID._make(b"A", (PathElement(RIGHT, long),))):
+        with pytest.raises(MalformedTID, match="65536-byte disambiguator"):
+            TID.decode(bad.encode())
 
 
 @given(TIDS)

@@ -143,11 +143,20 @@ def test_read_trace_rejects_garbage(tmp_path):
         "1\tinsert\t0\tYQ==!",  # not valid base64 (a lax decode reads b"a")
         "1\tinsert\t0\t",  # an insert without its atom
         "1\tdelete\t0\tYQ==",  # a delete carrying an atom
+        # int() reads these; write_trace never writes them.
+        "1_0\tinsert\t0\tYQ==",
+        "\u0663\tinsert\t0\tYQ==",
+        " +2 \tinsert\t0\tYQ==",
+        "-0\tinsert\t0\tYQ==",
+        "1\tinsert\t1_0\tYQ==",
+        "1\tinsert\t\u0663\tYQ==",
+        "1\tinsert\t +2 \tYQ==",
+        "1\tinsert\t-0\tYQ==",
     ],
 )
 def test_read_trace_rejects_malformed_line_with_its_number(tmp_path, bad_line):
     path = tmp_path / "bad.trace"
-    path.write_text(f"0\tinsert\t0\tYQ==\n{bad_line}\n")
+    path.write_text(f"0\tinsert\t0\tYQ==\n{bad_line}\n", encoding="utf-8")
     with pytest.raises(ValueError, match=r"bad\.trace:2: malformed trace line"):
         read_trace(path)
 
