@@ -14,6 +14,8 @@ import time
 from dataclasses import dataclass
 from difflib import SequenceMatcher
 from enum import Enum
+from itertools import compress, count
+from operator import ne
 from pathlib import Path
 from typing import Iterable, Optional, TextIO
 
@@ -21,7 +23,7 @@ from .errors import IndexOutOfRange, PositionOutOfRange
 from .protocol import OpKind, Role, Site, initiate_flatten
 
 _PARAGRAPH_SPLIT = re.compile(r"(\n{2,})")
-_WORD_SPLIT = re.compile(r"(\s+)")
+_WORD_UNIT = re.compile(r"\S+\s*|\s+")
 
 
 class Granularity(Enum):
@@ -47,14 +49,15 @@ class MetricsRow:
     epoch: int
 
 
-def tokenize(text: str, granularity: Granularity) -> list[str]:
-    """Split into atoms whose concatenation is exactly ``text``."""
-    if not text:
-        return []
-    pattern = (
-        _PARAGRAPH_SPLIT if granularity is Granularity.PARAGRAPH else _WORD_SPLIT
-    )
-    parts = pattern.split(text)
+def tokenize(text: str, granularity: Granularity | str) -> list[str]:
+    """Split into atoms whose concatenation is exactly ``text``.
+
+    ``granularity`` is a ``Granularity`` or its value string; anything else
+    raises ``ValueError``.
+    """
+    if Granularity(granularity) is Granularity.WORD:
+        return _WORD_UNIT.findall(text)
+    parts = _PARAGRAPH_SPLIT.split(text)
     units: list[str] = []
     for i in range(0, len(parts), 2):
         unit = parts[i]
@@ -65,10 +68,15 @@ def tokenize(text: str, granularity: Granularity) -> list[str]:
     return units
 
 
+def _common_run(a: Iterable[str], b: Iterable[str], limit: int) -> int:
+    """Length of the equal leading run of ``a`` and ``b``, compared in C."""
+    return next(compress(count(), map(ne, a, b)), limit)
+
+
 def diff_to_ops(
     old_rev: str,
     new_rev: str,
-    granularity: Granularity = Granularity.PARAGRAPH,
+    granularity: Granularity | str = Granularity.PARAGRAPH,
     revision: int = 0,
 ) -> list[TraceEvent]:
     """Common-subsequence diff over atom units.
@@ -76,12 +84,31 @@ def diff_to_ops(
     Positions are live-document indices at the moment each event applies,
     walking the edit script left to right; replaying the events on
     ``old_rev`` reproduces ``new_rev`` exactly.
+
+    Only the window between the revisions' common unit prefix and suffix
+    goes to ``SequenceMatcher``: a typed revision differs from the last in
+    one short run, so the matcher no longer scans the whole document. When
+    prefix and suffix overlap (a unit repeats at the edge of the edit), the
+    longer keeps its full length and the other is cut; ties go to the
+    prefix. Where units repeat, this may pick another matching copy than a
+    whole-document match would: the script is as valid, its positions may
+    differ.
     """
     old_units = tokenize(old_rev, granularity)
     new_units = tokenize(new_rev, granularity)
-    matcher = SequenceMatcher(a=old_units, b=new_units, autojunk=False)
+    shorter = min(len(old_units), len(new_units))
+    prefix = _common_run(old_units, new_units, shorter)
+    suffix = _common_run(reversed(old_units), reversed(new_units), shorter)
+    if prefix + suffix > shorter:
+        if suffix > prefix:
+            prefix = shorter - suffix
+        else:
+            suffix = shorter - prefix
+    old_window = old_units[prefix : len(old_units) - suffix]
+    new_window = new_units[prefix : len(new_units) - suffix]
+    matcher = SequenceMatcher(a=old_window, b=new_window, autojunk=False)
     events: list[TraceEvent] = []
-    offset = 0  # live position of the next unmatched old unit
+    offset = prefix  # live position of the next unmatched old unit
     for tag, i1, i2, j1, j2 in matcher.get_opcodes():
         if tag == "equal":
             offset += i2 - i1
@@ -91,16 +118,17 @@ def diff_to_ops(
                 events.append(TraceEvent(revision, OpKind.DELETE, offset, None))
         if tag in ("insert", "replace"):
             for j in range(j1, j2):
-                atom = new_units[j].encode("utf-8")
+                atom = new_window[j].encode("utf-8")
                 events.append(TraceEvent(revision, OpKind.INSERT, offset, atom))
                 offset += 1
     return events
 
 
 def events_from_revisions(
-    revisions: Iterable[str], granularity: Granularity = Granularity.PARAGRAPH
+    revisions: Iterable[str], granularity: Granularity | str = Granularity.PARAGRAPH
 ) -> list[TraceEvent]:
     """Diff each revision against the previous one; revision 0 starts empty."""
+    granularity = Granularity(granularity)
     events: list[TraceEvent] = []
     previous = ""
     for rev_index, text in enumerate(revisions):
@@ -112,7 +140,13 @@ def events_from_revisions(
 def read_revisions_dir(path: str | Path) -> list[str]:
     """Revision texts from a directory, one file per revision, sorted by name."""
     files = sorted(p for p in Path(path).iterdir() if p.is_file())
-    return [p.read_text(encoding="utf-8") for p in files]
+    texts: list[str] = []
+    for p in files:
+        try:
+            texts.append(p.read_text(encoding="utf-8"))
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{p}: revision is not UTF-8: {exc}") from exc
+    return texts
 
 
 # -- trace file format: one line per event ---------------------------------
@@ -172,6 +206,8 @@ def replay(
     and every message is flushed before the next event, so trace positions
     stay valid at every replica.
     """
+    if flatten_interval < 0:
+        raise ValueError("flatten_interval must be at least 0")
     if site_count < 1:
         raise ValueError("site_count must be at least 1")
     sites = [Site(f"s{i:02d}".encode(), Role.CORE) for i in range(site_count)]

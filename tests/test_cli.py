@@ -81,6 +81,16 @@ def test_replay_from_revisions_dir(tmp_path):
     assert len(out.read_text().splitlines()) > 1
 
 
+def test_replay_names_a_revision_file_that_is_not_utf8(tmp_path, capsys):
+    revs = tmp_path / "revs"
+    revs.mkdir()
+    (revs / "000.txt").write_text("alpha", encoding="utf-8")
+    (revs / "001.txt").write_bytes(b"alpha \xff")
+    code = main(["replay", "--revisions", str(revs), "--out", str(tmp_path / "m.csv")])
+    assert code == 1
+    assert str(revs / "001.txt") in capsys.readouterr().err
+
+
 def test_replay_requires_an_input(tmp_path, capsys):
     code = main(["replay", "--out", str(tmp_path / "m.csv")])
     assert code == 1

@@ -1,6 +1,8 @@
+import re
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from treedoc import (
     Granularity,
@@ -42,6 +44,49 @@ def test_tokenize_paragraphs():
 
 def test_tokenize_words():
     assert tokenize("to be  or", Granularity.WORD) == ["to ", "be  ", "or"]
+
+
+def _split_words(text):
+    """The split-based word units: each whitespace run joins the word before it."""
+    parts = re.split(r"(\s+)", text)
+    units = []
+    for i in range(0, len(parts), 2):
+        unit = parts[i] + (parts[i + 1] if i + 1 < len(parts) else "")
+        if unit:
+            units.append(unit)
+    return units
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(alphabet="ab \t\n\r\x0b\x0c\x1c\x85\xa0\u2028\u3000\u200b\xe9"))
+def test_word_units_match_the_split_definition(text):
+    assert tokenize(text, Granularity.WORD) == _split_words(text)
+
+
+def test_granularity_accepts_the_enum_and_its_value_string():
+    text = "a b\n\nc"
+    for granularity in Granularity:
+        assert tokenize(text, granularity.value) == tokenize(text, granularity)
+        assert diff_to_ops("", text, granularity.value) == diff_to_ops(
+            "", text, granularity
+        )
+        assert events_from_revisions([text], granularity.value) == (
+            events_from_revisions([text], granularity)
+        )
+    assert tokenize(text, "paragraph") == ["a b\n\n", "c"]
+
+
+@pytest.mark.parametrize("granularity", ["Word", "sentence", None, 1])
+def test_an_unknown_granularity_is_rejected(granularity):
+    # Not silently the word branch: only the enum and its values are accepted.
+    with pytest.raises(ValueError):
+        tokenize("a b", granularity)
+    with pytest.raises(ValueError):
+        tokenize("", granularity)
+    with pytest.raises(ValueError):
+        diff_to_ops("a", "a b", granularity)
+    with pytest.raises(ValueError):
+        events_from_revisions([], granularity)
 
 
 # -- diff -----------------------------------------------------------------------
@@ -95,6 +140,85 @@ def test_diff_round_trip_on_random_pairs():
         prefix = [TraceEvent(0, OpKind.INSERT, i, unit.encode())
                   for i, unit in enumerate(base)]
         assert _replay_text(prefix + diff_to_ops(old, new)) == new
+
+
+def _base_events(text, granularity):
+    """Inserts that build ``text`` from an empty document."""
+    return [TraceEvent(0, OpKind.INSERT, i, unit.encode())
+            for i, unit in enumerate(tokenize(text, granularity))]
+
+
+def test_diff_of_one_replaced_run_is_at_most_its_length():
+    # A match over the whole unit lists pairs "x x" across the edit and
+    # emits an insert and two deletes for this one-word delete.
+    old, new = "x y x y ", "x x y "
+    events = diff_to_ops(old, new, Granularity.WORD)
+    assert events == [TraceEvent(0, OpKind.DELETE, 1, None)]
+    assert _replay_text(_base_events(old, Granularity.WORD) + events) == new
+
+
+@pytest.mark.parametrize(
+    "old, new, event",
+    [
+        # prefix and suffix tie: the prefix stays whole
+        ("x ", "x x ", TraceEvent(0, OpKind.INSERT, 1, b"x ")),
+        # the suffix is longer and stays whole
+        ("b b a ", "b b b a ", TraceEvent(0, OpKind.INSERT, 0, b"b ")),
+        # the prefix is longer and stays whole
+        ("a b b ", "a b b b ", TraceEvent(0, OpKind.INSERT, 3, b"b ")),
+        # the suffix is longer and stays whole, on a delete
+        ("a a b ", "a b ", TraceEvent(0, OpKind.DELETE, 0, None)),
+    ],
+)
+def test_overlapping_prefix_and_suffix_keep_the_longer(old, new, event):
+    events = diff_to_ops(old, new, Granularity.WORD)
+    assert events[0] == event
+    assert _replay_text(_base_events(old, Granularity.WORD) + events) == new
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.sampled_from(["x ", "y ", "z "]), max_size=12),
+    st.lists(st.sampled_from(["x ", "y ", "z "]), max_size=4),
+    st.data(),
+)
+def test_diff_of_one_replaced_run_bounds_its_events(old_units, inserted, data):
+    start = data.draw(st.integers(0, len(old_units)))
+    removed = data.draw(st.integers(0, len(old_units) - start))
+    new_units = old_units[:start] + inserted + old_units[start + removed :]
+    old, new = "".join(old_units), "".join(new_units)
+    events = diff_to_ops(old, new, Granularity.WORD)
+    assert len(events) <= removed + len(inserted)
+    assert _replay_text(_base_events(old, Granularity.WORD) + events) == new
+
+
+_SMALL_TEXT = st.text(alphabet="ab \n", max_size=24)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_SMALL_TEXT, _SMALL_TEXT, st.sampled_from(Granularity))
+def test_diff_replay_reproduces_new_over_repeated_units(old, new, granularity):
+    events = diff_to_ops(old, new, granularity)
+    assert _replay_text(_base_events(old, granularity) + events) == new
+
+
+def test_diff_hands_the_matcher_only_the_changed_window(monkeypatch):
+    seen = []
+
+    class Recording(trace_mod.SequenceMatcher):
+        def set_seqs(self, a, b):
+            seen.append((list(a), list(b)))
+            super().set_seqs(a, b)
+
+    monkeypatch.setattr(trace_mod, "SequenceMatcher", Recording)
+    units = [f"w{i} " for i in range(1000)]
+    burst = [f"new{i} " for i in range(5)]
+    old = "".join(units)
+    new = "".join(units[:500] + burst + units[503:])
+    events = diff_to_ops(old, new, Granularity.WORD)
+    assert seen == [(units[500:503], burst)]
+    assert len(events) == 3 + 5
+    assert {e.position for e in events} <= set(range(500, 505))
 
 
 def test_replay_fidelity_through_revision_chain():
@@ -241,6 +365,14 @@ def test_replay_round_robin_multi_site():
     assert len(rows_multi) == len(rows_single) == len(events)
     assert rows_multi[-1].epoch == rows_single[-1].epoch
     assert rows_multi[-1].tree_size_nodes == rows_single[-1].tree_size_nodes
+
+
+@pytest.mark.parametrize(
+    "kwargs", [{"flatten_interval": -3}, {"flatten_interval": -1}, {"site_count": 0}]
+)
+def test_replay_rejects_a_negative_interval_and_no_sites(kwargs):
+    with pytest.raises(ValueError):
+        trace_mod.replay(_synthetic_trace(20, 5), **kwargs)
 
 
 def test_replay_position_out_of_range():
