@@ -1,0 +1,6 @@
+"""``python -m treedoc``: the ``treedoc`` command, runnable from a checkout."""
+
+from .cli import main
+
+if __name__ == "__main__":
+    raise SystemExit(main())

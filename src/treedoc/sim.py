@@ -20,15 +20,19 @@ Crashed sites queue inbound messages and process them on recovery
 Messages are the protocol's own values (an ``Operation``, a decision's
 ``FlattenAnnouncement``, a ``CatchUpBatch``; prepares and votes reach the
 log through ``initiate_flatten``'s observer). ``_text`` writes a message's
-log text once per send, the text travels with it, and the log keeps its
-digest.
+log text once per send and the message travels with the text's digest, so
+the digest too is taken once per send, not once per receipt. The log is
+stored packed (``EventLog``); ``SimResult.event_log`` unpacks it into tuples
+on first read.
 """
 
 from __future__ import annotations
 
 import hashlib
 import heapq
+from array import array
 from dataclasses import dataclass, field
+from functools import cached_property
 from random import Random
 from typing import NamedTuple, Optional
 
@@ -47,8 +51,19 @@ from .protocol import (
 from .tid import Disambiguator
 from .trace import write_csv
 
-EventLogEntry = tuple[int, str, str, str]
+EventLogEntry = tuple[int, str, str, str]  # tick, site, kind, payload digest
 MetricsRow = tuple[int, int, int, float, int]  # tick, nodes, tombstones, mean, epoch
+
+# Every kind of log entry; the packed log keeps an entry's index here.
+KINDS = (
+    "submit", "gen_skipped", "fault_drop", "crash", "recover", "send_prepare",
+    "send_votemsg", "flatten_commit", "flatten_abort", "flatten_skipped",
+    *(f"recv_{r.value}" for r in DeliverResult), "recv_decision", "recv_catchup",
+    "catchup_emit", "converged", "diverged",
+)
+_KIND_INDEX = {kind: i for i, kind in enumerate(KINDS)}
+_RECV_KIND = {result: f"recv_{result.value}" for result in DeliverResult}
+NET = -1  # the log's site index of the network itself
 
 
 @dataclass(frozen=True)
@@ -73,12 +88,21 @@ class SimConfig:
     fault_drop_message: Optional[int] = None  # test hook: drop the Nth send forever
 
     def validate(self) -> None:
+        names = ("core_count", "nebula_count", "op_count", "max_delay", "flatten_interval")
+        ints = [(name, getattr(self, name)) for name in names]
+        if self.fault_drop_message is not None:
+            ints.append(("fault_drop_message", self.fault_drop_message))
+        for window in self.crash_schedule:
+            ints += [(f"crash window {k}", v) for k, v in vars(window).items()]
+        for name, value in ints:
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an int, got {value!r}")
         if self.core_count < 1 or self.nebula_count < 0 or self.op_count < 0:
             raise ValueError("counts must be non-negative (and at least one core)")
         for name in ("delete_ratio", "duplicate_prob", "drop_retry_prob"):
             value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {value}")
+            if not isinstance(value, (int, float)) or not 0.0 <= value <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1], got {value!r}")
         if self.max_delay < 1:
             raise ValueError("max_delay must be at least 1 tick")
         if self.flatten_interval < 0:
@@ -93,14 +117,35 @@ class SimConfig:
                 raise ValueError("crash windows need tick_down < tick_up")
 
 
+class EventLog:
+    """The event log, packed: per entry a tick, a site (index into ``labels``),
+    a kind (index into ``KINDS``) and 6 bytes of its payload text's sha256."""
+
+    def __init__(self, labels: list[str]):
+        self.labels = labels
+        self.ticks = array("q")
+        self.sites = array("i")
+        self.kinds = bytearray()
+        self.digests = bytearray()
+
+
 @dataclass
 class SimResult:
     converged: bool
     final_digest: str
     metrics: list[MetricsRow]
-    event_log: list[EventLogEntry]
+    log: EventLog = field(repr=False)
     diff: str = ""
     sites: list[Site] = field(default_factory=list, repr=False)
+
+    @cached_property
+    def event_log(self) -> list[EventLogEntry]:
+        """The log as (tick, site label, kind, digest hex) rows."""
+        log, hexes = self.log, self.log.digests.hex()
+        return [
+            (tick, log.labels[site], KINDS[kind], hexes[12 * i : 12 * i + 12])
+            for i, (tick, site, kind) in enumerate(zip(log.ticks, log.sites, log.kinds))
+        ]
 
 
 def check_convergence(sites: list[Site]) -> tuple[bool, str, str]:
@@ -154,34 +199,49 @@ def _text(kind: str, msg) -> str:
     return f"vote|{msg.voter.hex()}|{msg.decision.value}"  # kind "votemsg"
 
 
-def _digest(payload: str) -> str:
-    return hashlib.sha256(payload.encode()).hexdigest()[:12]
+def _digest(payload: str) -> bytes:
+    return hashlib.sha256(payload.encode()).digest()[:6]
 
 
 class Network:
-    """One simulation instance: sites, transport, scheduler, log."""
+    """One simulation instance: sites, transport, scheduler, log. A site is
+    named by its index in ``sites``, where the core comes first."""
 
     def __init__(self, config: SimConfig):
         config.validate()
         self.config = config
         self.rng = Random(config.seed)
-        self.sites: list[Site] = []
-        for i in range(config.core_count):
-            self.sites.append(Site(f"c{i:02d}".encode(), Role.CORE))
-        for i in range(config.nebula_count):
-            self.sites.append(Site(f"n{i:02d}".encode(), Role.NEBULA))
-        self.core_sites = self.sites[: config.core_count]
-        self.nebula_sites = self.sites[config.core_count :]
-        self._roles = {site.id: site.role for site in self.sites}
+        n = config.core_count
+        self.sites = [Site(b"c%02d" % i, Role.CORE) for i in range(n)]
+        self.sites += [Site(b"n%02d" % i, Role.NEBULA) for i in range(config.nebula_count)]
+        self.core_sites, self.nebula_sites = self.sites[:n], self.sites[n:]
+        cores = self._cores = range(n)
+        nebulas = self._nebulas = range(n, len(self.sites))
+        # Where a site's own ops go (a core site gossips with everyone, a nebula
+        # site with the core); where the core relays a nebula site's ops.
+        self._targets = [[j for j in range(len(self.sites)) if j != i] for i in cores]
+        self._targets += [list(cores) for _ in nebulas]
+        self._relay = {self.sites[i].id: [j for j in nebulas if j != i] for i in nebulas}
         # (tick, seq, kind, payload); a message's payload is (destination
-        # site, message, log text), and its kind is "op", "decision" or "catchup".
+        # index, message, log digest), its kind "op", "decision" or "catchup".
         self.heap: list[tuple[int, int, str, object]] = []
         self._seq = 0
-        self.event_log: list[EventLogEntry] = []
+        self.log = EventLog([site.id.decode() for site in self.sites] + ["net"])
         self.metrics: list[MetricsRow] = []
-        self._held: dict[Site, list[tuple]] = {site: [] for site in self.sites}
+        self._held: list[list[tuple]] = [[] for _ in self.sites]
         self._sent = 0
         self._last_sample: Optional[tuple[int, int, int]] = None
+        self._drop_at = config.fault_drop_message
+        self._retry_prob = config.drop_retry_prob
+        self._duplicate_prob = config.duplicate_prob
+        self._max_delay = config.max_delay
+        self._delay_bits = config.max_delay.bit_length()
+
+    def _delay(self) -> int:
+        """Draw as ``rng.randint(1, max_delay)`` does, minus its argument checks."""
+        while (r := self.rng.getrandbits(self._delay_bits)) >= self._max_delay:
+            pass  # out of range: drawn again, as randint does
+        return r + 1
 
     # -- scheduling -------------------------------------------------------
 
@@ -189,65 +249,45 @@ class Network:
         self._seq += 1
         heapq.heappush(self.heap, (tick, self._seq, kind, payload))
 
-    def _send(self, dst: Site, kind: str, msg, text: str, now: int) -> None:
+    def _send(self, dst: int, kind: str, msg, digest: bytes, now: int) -> None:
         self._sent += 1
-        if (
-            self.config.fault_drop_message is not None
-            and self._sent == self.config.fault_drop_message
-        ):
-            self._log(now, "net", "fault_drop", text)
+        if self._sent == self._drop_at:
+            self._log(now, NET, "fault_drop", digest)
             return
-        delay = self.rng.randint(1, self.config.max_delay)
-        if (
-            self.config.drop_retry_prob > 0
-            and self.rng.random() < self.config.drop_retry_prob
-        ):
+        delay = self._delay()
+        if self._retry_prob > 0 and self.rng.random() < self._retry_prob:
             # Lost once, retransmitted later: same message, longer wait.
-            delay += self.rng.randint(1, self.config.max_delay)
-        delivery = (dst, msg, text)
+            delay += self._delay()
+        delivery = (dst, msg, digest)
         self._push(now + delay, kind, delivery)
-        if (
-            self.config.duplicate_prob > 0
-            and self.rng.random() < self.config.duplicate_prob
-        ):
-            dup_delay = self.rng.randint(1, self.config.max_delay)
-            self._push(now + dup_delay, kind, delivery)
+        if self._duplicate_prob > 0 and self.rng.random() < self._duplicate_prob:
+            self._push(now + self._delay(), kind, delivery)
 
-    def _broadcast_op(self, origin: Site, op: Operation, text: str, now: int) -> None:
-        if origin.role is Role.CORE:
-            targets = [s for s in self.sites if s is not origin]
-        else:
-            targets = list(self.core_sites)
-        for dst in targets:
-            self._send(dst, "op", op, text, now)
-
-    def _log(self, tick: int, site: object, kind: str, payload: str) -> None:
-        label = site if isinstance(site, str) else site.id.decode()
-        self.event_log.append((tick, label, kind, _digest(payload)))
+    def _log(self, tick: int, site: int, kind: str, digest: bytes) -> None:
+        log = self.log
+        log.ticks.append(tick)
+        log.sites.append(site)
+        log.kinds.append(_KIND_INDEX[kind])
+        log.digests += digest
 
     def _maybe_sample(self, now: int) -> None:
         doc = self.sites[0].replica
         state = (doc.node_count, doc.tombstone_count, doc.epoch)
         if state != self._last_sample:
             self._last_sample = state
-            self.metrics.append(
-                (
-                    now,
-                    doc.node_count,
-                    doc.tombstone_count,
-                    doc.mean_tid_encoded_bytes(),
-                    doc.epoch,
-                )
-            )
+            nodes, tombstones, epoch = state
+            row = (now, nodes, tombstones, doc.mean_tid_encoded_bytes(), epoch)
+            self.metrics.append(row)
 
     # -- event handlers -----------------------------------------------------
 
     def _handle_gen(self, now: int) -> None:
-        alive = [s for s in self.sites if not s.crashed]
+        alive = [i for i, s in enumerate(self.sites) if not s.crashed]
         if not alive:
-            self._log(now, "net", "gen_skipped", "all sites down")
+            self._log(now, NET, "gen_skipped", _digest("all sites down"))
             return
-        site = self.rng.choice(alive)
+        origin = self.rng.choice(alive)
+        site = self.sites[origin]
         live = site.replica.live_count
         if live > 0 and self.rng.random() < self.config.delete_ratio:
             op = site.submit_local(OpKind.DELETE, position=self.rng.randrange(live))
@@ -258,90 +298,85 @@ class Network:
             )
         site.outbox.clear()  # dispatched right here
         text = _op_text(op)
-        self._log(now, site, "submit", text)
-        self._broadcast_op(site, op, f"op|{text}", now)
+        self._log(now, origin, "submit", _digest(text))
+        digest = _digest(f"op|{text}")
+        for dst in self._targets[origin]:
+            self._send(dst, "op", op, digest, now)
 
     def _handle_flatten(self, attempt: int, now: int) -> None:
-        coordinator = self.core_sites[attempt % len(self.core_sites)]
-        if coordinator.crashed:
-            alive = [s for s in self.core_sites if not s.crashed]
+        coordinator = attempt % len(self._cores)
+        if self.sites[coordinator].crashed:
+            alive = [i for i in self._cores if not self.sites[i].crashed]
             if not alive:
-                self._log(now, "net", "flatten_skipped", "no live core site")
+                self._log(now, NET, "flatten_skipped", _digest("no live core site"))
                 return
             coordinator = alive[0]
 
         def observe(src: bytes, dst: bytes, msg) -> None:
             kind = "prepare" if isinstance(msg, PrepareMessage) else "votemsg"
-            self._log(now, src.decode(), f"send_{kind}", _text(kind, msg))
+            sender = self.log.labels.index(src.decode())
+            self._log(now, sender, f"send_{kind}", _digest(_text(kind, msg)))
 
-        outcome = initiate_flatten(coordinator, self.core_sites, observer=observe)
+        site = self.sites[coordinator]
+        outcome = initiate_flatten(site, self.core_sites, observer=observe)
         if outcome.committed:
-            self._log(
-                now,
-                coordinator,
-                "flatten_commit",
-                f"epoch {outcome.new_epoch} {outcome.announcement.doc_digest}",
-            )
+            ann = outcome.announcement
+            text = f"epoch {outcome.new_epoch} {ann.doc_digest}"
+            self._log(now, coordinator, "flatten_commit", _digest(text))
             if self.nebula_sites:
-                ann = outcome.announcement
-                text = _text("decision", ann)
-                for nb in self.nebula_sites:
-                    self._send(nb, "decision", ann, text, now)
+                digest = _digest(_text("decision", ann))
+                for nb in self._nebulas:
+                    self._send(nb, "decision", ann, digest, now)
         else:
-            self._log(now, coordinator, "flatten_abort", outcome.reason.value)
-
-    def _recv_op(self, site: Site, op: Operation, text: str, now: int) -> None:
-        result = site.deliver(op)
-        self._log(now, site, f"recv_{result.value}", text)
-        self._after_delivery(site, now, op, text)
+            self._log(now, coordinator, "flatten_abort", _digest(outcome.reason.value))
 
     def _recv_decision(
-        self, site: Site, ann: FlattenAnnouncement, text: str, now: int
+        self, dst: int, ann: FlattenAnnouncement, digest: bytes, now: int
     ) -> None:
-        site.receive_decision(ann)
-        self._log(now, site, "recv_decision", text)
-        self._after_delivery(site, now)
+        self.sites[dst].receive_decision(ann)
+        self._log(now, dst, "recv_decision", digest)
+        self._after_delivery(dst, now)
 
-    def _recv_catchup(
-        self, site: Site, batch: CatchUpBatch, text: str, now: int
-    ) -> None:
+    def _recv_catchup(self, dst: int, batch: CatchUpBatch, _: bytes, now: int) -> None:
+        site = self.sites[dst]
         results = [site.deliver(op) for op in batch.ops]
         applied = sum(1 for r in results if r is DeliverResult.APPLIED)
-        self._log(now, site, "recv_catchup", f"{text}|applied={applied}")
-        self._after_delivery(site, now)
+        # What the batch did here is part of the text: a digest per receipt.
+        text = f"{_text('catchup', batch)}|applied={applied}"
+        self._log(now, dst, "recv_catchup", _digest(text))
+        self._after_delivery(dst, now)
 
     def _after_delivery(
-        self, site: Site, now: int, op: Optional[Operation] = None, text: str = ""
+        self, dst: int, now: int, op: Optional[Operation] = None, digest: bytes = b""
     ) -> None:
-        """Relay or catch up after a delivery; ``op`` came with log text ``text``."""
+        """Relay or catch up after a delivery; ``op`` came with log ``digest``."""
+        site = self.sites[dst]
         delivered = site.take_delivered()
         if site.role is Role.CORE:
             # The core relays nebula content to the rest of the nebula. An op
-            # drained from pending or taken from a batch needs its own text.
+            # drained from pending or taken from a batch needs its own digest.
             for relayed in delivered:
-                origin = relayed.origin
-                if self._roles.get(origin) is Role.NEBULA:
-                    msg_text = text if relayed is op else _text("op", relayed)
-                    for nb in self.nebula_sites:
-                        if nb.id != origin:
-                            self._send(nb, "op", relayed, msg_text, now)
+                targets = self._relay.get(relayed.origin)
+                if targets:
+                    d = digest if relayed is op else _digest(_text("op", relayed))
+                    for nb in targets:
+                        self._send(nb, "op", relayed, d, now)
         else:
             emissions = site.maybe_catch_up()
             site.take_delivered()  # buffer drains inside catch-up are local
             if emissions:
                 batch = CatchUpBatch(site.id, tuple(emissions))
-                batch_text = _text("catchup", batch)
-                self._log(now, site, "catchup_emit", batch_text)
-                for core in self.core_sites:
-                    self._send(core, "catchup", batch, batch_text, now)
+                batch_digest = _digest(_text("catchup", batch))
+                self._log(now, dst, "catchup_emit", batch_digest)
+                for core in self._cores:
+                    self._send(core, "catchup", batch, batch_digest, now)
 
     def _handle_crash(self, site_index: int, up: bool, now: int) -> None:
-        site = self.sites[site_index]
-        site.crashed = not up
-        self._log(now, site, "recover" if up else "crash", str(now))
-        if up and self._held[site]:
-            held = self._held[site]
-            self._held[site] = []
+        self.sites[site_index].crashed = not up
+        self._log(now, site_index, "recover" if up else "crash", _digest(str(now)))
+        held = self._held[site_index]
+        if up and held:
+            self._held[site_index] = []
             for kind, delivery in held:
                 self._push(now, kind, delivery)
 
@@ -368,12 +403,22 @@ class Network:
             self._push(window.tick_down, "crash_down", window.site_index)
             self._push(window.tick_up, "crash_up", window.site_index)
 
+        sites, held, heap, pop = self.sites, self._held, self.heap, heapq.heappop
         last_tick = 0
         while True:
-            while self.heap:
-                now, _, kind, payload = heapq.heappop(self.heap)
+            while heap:
+                now, _, kind, payload = pop(heap)
                 last_tick = now
-                if kind == "gen":
+                if kind == "op":  # most events are op deliveries
+                    dst, op, digest = payload
+                    if sites[dst].crashed:
+                        held[dst].append((kind, payload))  # until dst recovers
+                        continue
+                    self._log(now, dst, _RECV_KIND[sites[dst].deliver(op)], digest)
+                    self._after_delivery(dst, now, op, digest)
+                    if dst:
+                        continue  # it changed site dst; only site 0 is sampled
+                elif kind == "gen":
                     self._handle_gen(now)
                 elif kind == "flatten":
                     self._handle_flatten(payload, now)
@@ -381,11 +426,8 @@ class Network:
                     self._handle_crash(payload, False, now)
                 elif kind == "crash_up":
                     self._handle_crash(payload, True, now)
-                elif payload[0].crashed:
-                    # A message, held until its destination recovers.
-                    self._held[payload[0]].append((kind, payload))
-                elif kind == "op":
-                    self._recv_op(*payload, now)
+                elif sites[payload[0]].crashed:
+                    held[payload[0]].append((kind, payload))
                 elif kind == "decision":
                     self._recv_decision(*payload, now)
                 elif kind == "catchup":
@@ -398,23 +440,17 @@ class Network:
                 nb.take_delivered()
                 if emissions:
                     batch = CatchUpBatch(nb.id, tuple(emissions))
-                    text = _text("catchup", batch)
-                    for core in self.core_sites:
-                        self._send(core, "catchup", batch, text, last_tick)
+                    digest = _digest(_text("catchup", batch))
+                    for core in self._cores:
+                        self._send(core, "catchup", batch, digest, last_tick)
                     extra = True
             if not extra:
                 break
 
         converged, diff, final = check_convergence(self.sites)
-        self._log(last_tick, "net", "converged" if converged else "diverged", final)
-        return SimResult(
-            converged=converged,
-            final_digest=final,
-            metrics=self.metrics,
-            event_log=self.event_log,
-            diff=diff,
-            sites=self.sites,
-        )
+        outcome = "converged" if converged else "diverged"
+        self._log(last_tick, NET, outcome, _digest(final))
+        return SimResult(converged, final, self.metrics, self.log, diff, self.sites)
 
 
 def run(config: SimConfig, *, strict: bool = False) -> SimResult:
@@ -437,6 +473,4 @@ def write_metrics_csv(metrics: list[MetricsRow], path: str) -> None:
 
 
 def write_event_log(log: list[EventLogEntry], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for tick, site, kind, digest in log:
-            fh.write(f"{tick}\t{site}\t{kind}\t{digest}\n")
+    write_csv(path, "", (f"{t}\t{site}\t{kind}\t{d}\n" for t, site, kind, d in log))

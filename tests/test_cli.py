@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from treedoc.cli import main
@@ -146,3 +151,22 @@ def test_simulate_rejects_an_injected_drop_below_one(tmp_path, capsys, drop):
     assert code == 1
     assert "treedoc: fault_drop_message counts sends from 1" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_python_m_treedoc_simulate_does_not_depend_on_the_hash_seed(tmp_path):
+    # Run from a checkout, as the README does; set iteration order must not
+    # reach the event log or the metrics.
+    src = Path(__file__).resolve().parent.parent / "src"
+    outputs = []
+    for hash_seed in ("1", "2"):
+        out, events = tmp_path / f"m{hash_seed}.csv", tmp_path / f"e{hash_seed}.log"
+        env = {**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": hash_seed}
+        subprocess.run(
+            [sys.executable, "-m", "treedoc", "simulate", "--seed", "4", "--nebula", "2",
+             "--ops", "400", "--flatten-every", "100", "--out", str(out),
+             "--events", str(events)],
+            env=env, check=True, capture_output=True, timeout=120,
+        )
+        outputs.append((out.read_bytes(), events.read_bytes()))
+    assert outputs[0][1].count(b"\n") > 400
+    assert outputs[0] == outputs[1]

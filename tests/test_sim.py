@@ -1,3 +1,4 @@
+import hashlib
 from random import Random
 
 import pytest
@@ -301,3 +302,101 @@ def test_flatten_mid_stream_reaches_the_catch_up_batch_path():
             assert kinds.count("recv_catchup") >= 2 * emits
             emitting += emits > 0
     assert emitting >= 3
+
+
+# sha256 of write_event_log and write_metrics_csv output for fixed configs,
+# taken before the event log was stored packed; a change to the simulator's
+# draws, its messages or its log format moves them.
+GOLDEN = {
+    "nebulas": (
+        SimConfig(seed=5, core_count=3, nebula_count=2, op_count=300,
+                  flatten_interval=100, duplicate_prob=0.2, drop_retry_prob=0.1),
+        None,
+        "5c2c0ab16141ab449f8949b854d9d82f0c1c2d87e9719b795f634c1058792fc5",
+        "bdccb0ddc90d2f44ac79731d5386315e3f22935b42e92606f850ce41bac27d1b",
+    ),
+    "crash_window": (
+        SimConfig(seed=11, core_count=3, nebula_count=1, op_count=400,
+                  flatten_interval=120,
+                  crash_schedule=(CrashWindow(2, 40, 160), CrashWindow(3, 100, 300))),
+        None,
+        "9ac22dc88e059cc1f5951fb6923fe06d766e23d8fc5fa76f1d56c263ff1729c8",
+        "174ba187da04dc14a511a6cd30029b2392c58677381364c78e89621e0a4a4821",
+    ),
+    "core_down_aborts": (
+        SimConfig(seed=13, core_count=3, op_count=300, flatten_interval=50,
+                  crash_schedule=(CrashWindow(1, 10, 10_000),)),
+        None,
+        "f818aefa76b9006c864458f6f0ecf325ad01e300cd61ece309fe777a9f444b7e",
+        "3c1a4d325efc37e18d29581d3019a2383e978ce2c29a3512e47b5ce68de595c0",
+    ),
+    "fault_drop": (
+        SimConfig(seed=3, core_count=2, nebula_count=1, op_count=80,
+                  duplicate_prob=0.1, fault_drop_message=7),
+        None,
+        "99c9dd05ab48b6bc63d3707e4433f9f4658927d305c0bfc93eb2268fea056948",
+        "24e4f9df0427a737cf0abfa16ffbc756db1550ae223cb64059bf15bd6e4e60c0",
+    ),
+    "cluster": (
+        SimConfig(seed=11, core_count=4, nebula_count=3, op_count=600,
+                  duplicate_prob=0.1, drop_retry_prob=0.05, flatten_interval=200),
+        None,
+        "e3b537b2f8fd943cd1b54acacf01dca28aa176effb2c673b68e1211a6ca73463",
+        "40e40d3a7088b07721fc21999f3e64545481ef8eab5d337dd207da302eb10c20",
+    ),
+    "mid_stream_flatten": (
+        SimConfig(seed=2, core_count=2, nebula_count=2, op_count=150),
+        68,  # a flatten pushed at this tick: nebulas emit catch-up batches
+        "34faf04acf7a02c119b3abc48a3e9496fd4634c5ff0bc81835bce6d42e5f91bd",
+        "1b5393ea25053f1e683d22a417cc627a424e08293f1fc5d0867a6c5a7cc895c8",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN)
+def test_exports_match_the_golden_digests(tmp_path, name):
+    config, flatten_at, events_sha, metrics_sha = GOLDEN[name]
+    net = sim.Network(config)
+    if flatten_at is not None:
+        net._push(flatten_at, "flatten", 0)
+    result = net.run()
+    kinds = {kind for _, _, kind, _ in result.event_log}
+    assert ("fault_drop" in kinds) == (config.fault_drop_message is not None)
+    assert ("catchup_emit" in kinds) == (flatten_at is not None)
+    assert ("crash" in kinds) == bool(config.crash_schedule)
+    sim.write_event_log(result.event_log, str(tmp_path / "events.log"))
+    sim.write_metrics_csv(result.metrics, str(tmp_path / "metrics.csv"))
+    assert hashlib.sha256((tmp_path / "events.log").read_bytes()).hexdigest() == events_sha
+    assert hashlib.sha256((tmp_path / "metrics.csv").read_bytes()).hexdigest() == metrics_sha
+
+
+@pytest.mark.parametrize(
+    "field",
+    ["core_count", "nebula_count", "op_count", "max_delay", "flatten_interval",
+     "fault_drop_message", "site_index", "tick_down", "tick_up"],
+)
+@pytest.mark.parametrize("value", [2.5, True])
+def test_config_validation_rejects_a_non_int(field, value):
+    # Each would otherwise fail mid-run, or run with a fractional interval.
+    window = {"site_index": 0, "tick_down": 1, "tick_up": 4}
+    if field in window:
+        config = SimConfig(crash_schedule=(CrashWindow(**{**window, field: value}),))
+    else:
+        config = SimConfig(**{field: value})
+    with pytest.raises(ValueError, match=field):
+        sim.run(config)
+
+
+@pytest.mark.parametrize("field", ["delete_ratio", "duplicate_prob", "drop_retry_prob"])
+def test_config_validation_rejects_a_probability_that_is_not_a_number(field):
+    with pytest.raises(ValueError, match=field):
+        SimConfig(**{field: "0.3"}).validate()
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_delay_draws_equal_randint(n):
+    net = sim.Network(SimConfig(seed=n, max_delay=n))
+    reference = Random(n)
+    assert [net._delay() for _ in range(10_000)] == [
+        reference.randint(1, n) for _ in range(10_000)
+    ]
