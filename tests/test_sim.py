@@ -305,7 +305,7 @@ def test_flatten_mid_stream_reaches_the_catch_up_batch_path():
 
 
 # sha256 of write_event_log and write_metrics_csv output for fixed configs,
-# taken before the event log was stored packed; a change to the simulator's
+# as the simulator wrote them when it kept its log as tuples; a change to its
 # draws, its messages or its log format moves them.
 GOLDEN = {
     "nebulas": (
