@@ -108,8 +108,8 @@ def _cmd_simulate(args) -> int:
     sim.write_metrics_csv(result.metrics, args.out)
     if args.events:
         sim.write_event_log(result.event_log, args.events)
-    commits = sum(1 for e in result.event_log if e[2] == "flatten_commit")
-    aborts = sum(1 for e in result.event_log if e[2] == "flatten_abort")
+    commits = result.event_log.count("flatten_commit")
+    aborts = result.event_log.count("flatten_abort")
     print(
         f"{args.ops} ops over {args.core} core / {args.nebula} nebula sites; "
         f"{commits} flatten commit(s), {aborts} abort(s)"

@@ -22,8 +22,8 @@ Messages are the protocol's own values (an ``Operation``, a decision's
 log through ``initiate_flatten``'s observer). ``_text`` writes a message's
 log text once per send and the message travels with the text's digest, so
 the digest too is taken once per send, not once per receipt. The log is
-stored packed (``EventLog``); ``SimResult.event_log`` unpacks it into tuples
-on first read.
+stored packed (``EventLog``), and its readers count kinds on the packed
+columns or iterate it one row at a time; no list of rows is built.
 """
 
 from __future__ import annotations
@@ -32,9 +32,8 @@ import hashlib
 import heapq
 from array import array
 from dataclasses import dataclass, field
-from functools import cached_property
 from random import Random
-from typing import NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from . import protocol
 from .errors import NonConvergenceError
@@ -119,7 +118,8 @@ class SimConfig:
 
 class EventLog:
     """The event log, packed: per entry a tick, a site (index into ``labels``),
-    a kind (index into ``KINDS``) and 6 bytes of its payload text's sha256."""
+    a kind (index into ``KINDS``) and 6 bytes of its payload text's sha256.
+    Iterating yields (tick, site label, kind, digest hex) rows one at a time."""
 
     def __init__(self, labels: list[str]):
         self.labels = labels
@@ -128,24 +128,33 @@ class EventLog:
         self.kinds = bytearray()
         self.digests = bytearray()
 
+    def __len__(self) -> int:
+        return len(self.kinds)
+
+    def __iter__(self) -> Iterator[EventLogEntry]:
+        labels, hexes = self.labels, self.digests.hex()
+        for i, (tick, site, kind) in enumerate(zip(self.ticks, self.sites, self.kinds)):
+            yield tick, labels[site], KINDS[kind], hexes[12 * i : 12 * i + 12]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, EventLog):
+            return NotImplemented
+        mine = (self.labels, self.ticks, self.sites, self.kinds, self.digests)
+        return mine == (other.labels, other.ticks, other.sites, other.kinds, other.digests)
+
+    def count(self, kind: str) -> int:
+        """How many entries are of ``kind``."""
+        return self.kinds.count(_KIND_INDEX[kind])
+
 
 @dataclass
 class SimResult:
     converged: bool
     final_digest: str
     metrics: list[MetricsRow]
-    log: EventLog = field(repr=False)
+    event_log: EventLog = field(repr=False)
     diff: str = ""
     sites: list[Site] = field(default_factory=list, repr=False)
-
-    @cached_property
-    def event_log(self) -> list[EventLogEntry]:
-        """The log as (tick, site label, kind, digest hex) rows."""
-        log, hexes = self.log, self.log.digests.hex()
-        return [
-            (tick, log.labels[site], KINDS[kind], hexes[12 * i : 12 * i + 12])
-            for i, (tick, site, kind) in enumerate(zip(log.ticks, log.sites, log.kinds))
-        ]
 
 
 def check_convergence(sites: list[Site]) -> tuple[bool, str, str]:
@@ -222,6 +231,7 @@ class Network:
         self._targets = [[j for j in range(len(self.sites)) if j != i] for i in cores]
         self._targets += [list(cores) for _ in nebulas]
         self._relay = {self.sites[i].id: [j for j in nebulas if j != i] for i in nebulas}
+        self._index = {site.id: i for i, site in enumerate(self.sites)}
         # (tick, seq, kind, payload); a message's payload is (destination
         # index, message, log digest), its kind "op", "decision" or "catchup".
         self.heap: list[tuple[int, int, str, object]] = []
@@ -231,17 +241,6 @@ class Network:
         self._held: list[list[tuple]] = [[] for _ in self.sites]
         self._sent = 0
         self._last_sample: Optional[tuple[int, int, int]] = None
-        self._drop_at = config.fault_drop_message
-        self._retry_prob = config.drop_retry_prob
-        self._duplicate_prob = config.duplicate_prob
-        self._max_delay = config.max_delay
-        self._delay_bits = config.max_delay.bit_length()
-
-    def _delay(self) -> int:
-        """Draw as ``rng.randint(1, max_delay)`` does, minus its argument checks."""
-        while (r := self.rng.getrandbits(self._delay_bits)) >= self._max_delay:
-            pass  # out of range: drawn again, as randint does
-        return r + 1
 
     # -- scheduling -------------------------------------------------------
 
@@ -250,18 +249,19 @@ class Network:
         heapq.heappush(self.heap, (tick, self._seq, kind, payload))
 
     def _send(self, dst: int, kind: str, msg, digest: bytes, now: int) -> None:
+        cfg, rng = self.config, self.rng
         self._sent += 1
-        if self._sent == self._drop_at:
+        if self._sent == cfg.fault_drop_message:
             self._log(now, NET, "fault_drop", digest)
             return
-        delay = self._delay()
-        if self._retry_prob > 0 and self.rng.random() < self._retry_prob:
+        delay = rng.randint(1, cfg.max_delay)
+        if cfg.drop_retry_prob > 0 and rng.random() < cfg.drop_retry_prob:
             # Lost once, retransmitted later: same message, longer wait.
-            delay += self._delay()
+            delay += rng.randint(1, cfg.max_delay)
         delivery = (dst, msg, digest)
         self._push(now + delay, kind, delivery)
-        if self._duplicate_prob > 0 and self.rng.random() < self._duplicate_prob:
-            self._push(now + self._delay(), kind, delivery)
+        if cfg.duplicate_prob > 0 and rng.random() < cfg.duplicate_prob:
+            self._push(now + rng.randint(1, cfg.max_delay), kind, delivery)
 
     def _log(self, tick: int, site: int, kind: str, digest: bytes) -> None:
         log = self.log
@@ -314,8 +314,7 @@ class Network:
 
         def observe(src: bytes, dst: bytes, msg) -> None:
             kind = "prepare" if isinstance(msg, PrepareMessage) else "votemsg"
-            sender = self.log.labels.index(src.decode())
-            self._log(now, sender, f"send_{kind}", _digest(_text(kind, msg)))
+            self._log(now, self._index[src], f"send_{kind}", _digest(_text(kind, msg)))
 
         site = self.sites[coordinator]
         outcome = initiate_flatten(site, self.core_sites, observer=observe)
@@ -472,5 +471,5 @@ def write_metrics_csv(metrics: list[MetricsRow], path: str) -> None:
     )
 
 
-def write_event_log(log: list[EventLogEntry], path: str) -> None:
+def write_event_log(log: Iterable[EventLogEntry], path: str) -> None:
     write_csv(path, "", (f"{t}\t{site}\t{kind}\t{d}\n" for t, site, kind, d in log))

@@ -393,10 +393,14 @@ def test_config_validation_rejects_a_probability_that_is_not_a_number(field):
         SimConfig(**{field: "0.3"}).validate()
 
 
-@pytest.mark.parametrize("n", range(1, 13))
-def test_delay_draws_equal_randint(n):
-    net = sim.Network(SimConfig(seed=n, max_delay=n))
-    reference = Random(n)
-    assert [net._delay() for _ in range(10_000)] == [
-        reference.randint(1, n) for _ in range(10_000)
-    ]
+def test_event_log_counts_and_rows_come_from_the_packed_columns():
+    config = SimConfig(seed=5, core_count=3, nebula_count=2, op_count=200,
+                       flatten_interval=60)
+    log = sim.run(config).event_log
+    rows = list(log)
+    assert len(rows) == len(log)
+    for kind in ("flatten_commit", "recv_applied", "converged", "diverged"):
+        assert log.count(kind) == sum(1 for row in rows if row[2] == kind)
+    assert log.count("flatten_commit") > 0
+    assert rows[-1][1:3] == ("net", "converged")
+    assert log == sim.run(config).event_log
