@@ -8,7 +8,7 @@ from typing import Optional
 
 from . import bench, sim, trace
 from .errors import TreedocError
-from .protocol import OpKind, Role, Site, initiate_flatten
+from .protocol import DeliverResult, OpKind, Role, Site, initiate_flatten
 
 
 class _Parser(argparse.ArgumentParser):
@@ -108,12 +108,15 @@ def _cmd_simulate(args) -> int:
     sim.write_metrics_csv(result.metrics, args.out)
     if args.events:
         sim.write_event_log(result.event_log, args.events)
-    commits = result.event_log.count("flatten_commit")
-    aborts = result.event_log.count("flatten_abort")
+    log = result.event_log
+    commits, aborts = log.count("flatten_commit"), log.count("flatten_abort")
     print(
         f"{args.ops} ops over {args.core} core / {args.nebula} nebula sites; "
         f"{commits} flatten commit(s), {aborts} abort(s)"
     )
+    outcomes = (f"{log.count(f'recv_{r.value}')} {r.value.replace('_', ' ')}"
+                for r in DeliverResult)
+    print(f"deliveries: {', '.join(outcomes)}")
     if result.converged:
         print(f"converged; final digest {result.final_digest[:16]}")
         return 0

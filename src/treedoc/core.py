@@ -10,6 +10,7 @@ Three descents from the root address one node, each in O(depth):
 
 * ``_chain`` follows a TID, for ``find``, ``ancestors_exist``, ``insert``,
   ``delete`` and ``graft``; the last three update ``live_size`` along it.
+  Below the root it tries a major node's first entry before a search.
 * ``_locate`` follows a live position, for ``tid_of_live_index``,
   ``alloc_tid_at_position`` and the position-addressed edits ``insert_at``
   and ``delete_at``, which update the nodes it passed without a second walk.
@@ -168,9 +169,12 @@ class Treedoc:
             major = mini.right if direction else mini.left
             if major is None:
                 break
-            mini = major.find(dis)
-            if mini is None:
-                break
+            # Most major nodes hold one mini-node.
+            mini = major.minis[0]
+            if mini.disambiguator != dis:
+                mini = major.find(dis)
+                if mini is None:
+                    break
             chain.append(mini)
         return chain
 

@@ -204,10 +204,9 @@ class Site:
         return op
 
     def _apply(self, op: Operation) -> EffectReport:
-        if op.epoch != self.replica.epoch:
-            raise EpochMismatch(
-                f"op epoch {op.epoch} vs replica epoch {self.replica.epoch}"
-            )
+        # Only ops of the replica's epoch get here: ``deliver`` admits no
+        # other into the replica or ``pending``, ``catch_up`` clears
+        # ``pending``, and a commit requires it to be empty.
         if op.kind is OpKind.INSERT:
             return self.replica.insert(op.tid, op.atom)
         return self.replica.delete(op.tid)
@@ -263,14 +262,15 @@ class Site:
         # this one to the same node), the identity is news and must keep
         # propagating, or other sites would wait on it forever.
         self._delivered_since_take.append(op)
-        self._drain_pending()
+        if self.pending:
+            self._drain_pending()
         if result is not EffectReport.APPLIED:
             return DeliverResult.DUPLICATE
         return DeliverResult.APPLIED
 
     def _drain_pending(self) -> None:
         pending = self.pending
-        progress = bool(pending)
+        progress = True
         while progress:
             progress = False
             for ident, op in list(pending.items()):

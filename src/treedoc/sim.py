@@ -91,7 +91,12 @@ class SimConfig:
         ints = [(name, getattr(self, name)) for name in names]
         if self.fault_drop_message is not None:
             ints.append(("fault_drop_message", self.fault_drop_message))
-        for window in self.crash_schedule:
+        schedule = self.crash_schedule
+        if not isinstance(schedule, (tuple, list)) or not all(
+            isinstance(window, CrashWindow) for window in schedule
+        ):
+            raise ValueError(f"crash_schedule must hold CrashWindows, got {schedule!r}")
+        for window in schedule:
             ints += [(f"crash window {k}", v) for k, v in vars(window).items()]
         for name, value in ints:
             if not isinstance(value, int) or isinstance(value, bool):
@@ -360,7 +365,7 @@ class Network:
                     d = digest if relayed is op else _digest(_text("op", relayed))
                     for nb in targets:
                         self._send(nb, "op", relayed, d, now)
-        else:
+        elif site.announcements:  # without one there is no epoch to catch up to
             emissions = site.maybe_catch_up()
             site.take_delivered()  # buffer drains inside catch-up are local
             if emissions:

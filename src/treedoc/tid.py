@@ -177,20 +177,18 @@ class TID:
         bit. Layout: varint pair count, then ceil(n/8) bytes of packed
         direction bits, then each disambiguator length-prefixed (varint).
         """
-        pairs: list[tuple[int, bytes]] = []
-        if self.root_disambiguator is not None:
-            pairs.append((0, self.root_disambiguator))
-            pairs.extend(self.path)
-        out = bytearray(_encode_varint(len(pairs)))
-        bits = bytearray((len(pairs) + 7) // 8)
-        for i, (direction, _) in enumerate(pairs):
-            if direction:
-                bits[i // 8] |= 1 << (i % 8)
-        out += bits
-        for _, dis in pairs:
-            out += _encode_varint(len(dis))
-            out += dis
-        return bytes(out)
+        root = self.root_disambiguator
+        if root is None:
+            return b"\x00"
+        pairs = len(self.path) + 1
+        out = [_ONE_BYTE[pairs] if pairs < 0x80 else _encode_varint(pairs), b""]
+        bits = 0
+        for i, (direction, dis) in enumerate(((0, root), *self.path)):
+            bits |= direction << i
+            n = len(dis)
+            out += (_ONE_BYTE[n] if n < 0x80 else _encode_varint(n), dis)
+        out[1] = bits.to_bytes((pairs + 7) // 8, "little")
+        return b"".join(out)
 
     @classmethod
     def decode(cls, data: bytes) -> "TID":
@@ -240,6 +238,9 @@ def compare_tid(a: TID, b: TID) -> int:
 
 
 # -- varints (unsigned LEB128) -------------------------------------------
+
+# The varints of 0-127, one byte each: nearly every length ``encode`` writes.
+_ONE_BYTE = [bytes((n,)) for n in range(0x80)]
 
 
 def _encode_varint(value: int) -> bytes:

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from treedoc import sim
 from treedoc.cli import main
 
 
@@ -27,6 +28,22 @@ def test_simulate_exit_zero_and_csv(tmp_path, capsys):
     assert lines[0] == "tick,total_nodes,tombstones,mean_tid_bytes,epoch"
     assert len(lines) > 1
     assert "converged" in capsys.readouterr().out
+
+
+def test_simulate_prints_delivery_outcomes_from_the_event_log(tmp_path, capsys):
+    flags = ["--seed", "4", "--core", "3", "--nebula", "2", "--ops", "300",
+             "--duplicate-prob", "0.2", "--flatten-every", "100"]
+    assert main(["simulate", *flags, "--out", str(tmp_path / "m.csv")]) == 0
+    log = sim.run(sim.SimConfig(seed=4, core_count=3, nebula_count=2, op_count=300,
+                                duplicate_prob=0.2, drop_retry_prob=0.05,
+                                flatten_interval=100)).event_log
+    applied, buffered, duplicate, late = (
+        log.count(f"recv_{r}") for r in ("applied", "buffered", "duplicate", "wrong_epoch")
+    )
+    assert applied and duplicate
+    line = (f"deliveries: {applied} applied, {buffered} buffered, {duplicate} duplicate,"
+            f" {late} wrong epoch")
+    assert line in capsys.readouterr().out.splitlines()
 
 
 def test_simulate_event_log_export(tmp_path):

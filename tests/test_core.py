@@ -477,3 +477,83 @@ def test_structural_equality_and_digest():
     b.delete(tid((0,)))
     assert not a.structurally_equal(b)
     assert a.state_digest() != b.state_digest()
+
+
+# -- _chain's first-entry fast path --------------------------------------------
+
+
+def _reference_chain(doc: Treedoc, t: TID) -> tuple[list, int]:
+    """The mini-nodes along ``t``, searched with ``MajorNode.find`` at every
+    level, and how many of them are not the first entry of their major node."""
+    mini = doc.root.find(t.root_disambiguator)
+    if mini is None:
+        return [], 0
+    chain, later = [mini], 0
+    for direction, dis in t.path:
+        major = mini.right if direction else mini.left
+        mini = None if major is None else major.find(dis)
+        if mini is None:
+            break
+        chain.append(mini)
+        later += mini is not major.minis[0]
+    return chain, later
+
+
+def _concurrent_doc(rng: Random, rounds: int) -> Treedoc:
+    """Two to four sites insert at one position from the same state, so
+    their entries share a major node, at every depth."""
+    doc = Treedoc()
+    for _ in range(rounds):
+        live = doc.live_count
+        if live and rng.random() < 0.2:
+            doc.delete(doc.tid_of_live_index(rng.randrange(live)))
+            continue
+        position = rng.randint(0, live)
+        sites = rng.sample([b"A", b"B", b"C", b"D"], rng.randint(2, 4))
+        for t in [doc.alloc_tid_at_position(position, site) for site in sites]:
+            doc.insert(t, b"x")
+    return doc
+
+
+def test_chain_fast_path_agrees_with_a_find_at_every_level():
+    rng = Random(41)
+    doc = _concurrent_doc(rng, 120)
+    probes = [TID(b"E")]
+    for t, _ in doc.walk():
+        probes.append(t)
+        probes += [t.child(d, dis) for d in (LEFT, RIGHT) for dis in (b"B", b"E")]
+        probes.append(t.child(RIGHT, b"F").child(LEFT, b"A"))  # below an absent node
+        if t.path:  # other entries of the major node at the last level
+            *above, (d, _) = t.path
+            probes += [TID(t.root_disambiguator, (*above, (d, dis))) for dis in (b"C", b"F")]
+    seen = {"later": 0, "missing_ancestor": 0, "missing_target": 0, "present": 0}
+    for t in probes:
+        depth = len(t.path)
+        ref, later = _reference_chain(doc, t)
+        chain = doc._chain(t)
+        assert len(chain) == len(ref) and all(a is b for a, b in zip(chain, ref))
+        seen["later"] += later
+        assert doc.find(t) is (ref[-1] if len(ref) > depth else None)
+        assert doc.ancestors_exist(t) == (len(ref) >= depth)
+        if len(ref) < depth:
+            seen["missing_ancestor"] += 1
+            with pytest.raises(MissingAncestor):
+                doc.insert(t, b"y")
+        elif len(ref) > depth:
+            seen["present"] += 1
+            assert doc.insert(t, b"y") is EffectReport.ALREADY_PRESENT
+        else:
+            assert doc.insert(t, b"y") is EffectReport.APPLIED
+        if rng.random() < 0.5:
+            continue
+        ref, _ = _reference_chain(doc, t)
+        if len(ref) <= depth:
+            seen["missing_target"] += 1
+            with pytest.raises(MissingTarget):
+                doc.delete(t)
+        else:
+            gone = ref[-1].tombstone
+            expected = EffectReport.ALREADY_TOMBSTONE if gone else EffectReport.APPLIED
+            assert doc.delete(t) is expected
+    assert min(seen.values()) >= 20, seen
+    assert doc.counters_consistent()

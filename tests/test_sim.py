@@ -5,6 +5,7 @@ import pytest
 
 from treedoc import (
     CrashWindow,
+    DeliverResult,
     NonConvergenceError,
     OpKind,
     Operation,
@@ -387,6 +388,12 @@ def test_config_validation_rejects_a_non_int(field, value):
         sim.run(config)
 
 
+@pytest.mark.parametrize("schedule", [((0, 1, 5),), "x", None])
+def test_config_validation_rejects_a_crash_schedule_of_other_values(schedule):
+    with pytest.raises(ValueError, match="crash_schedule"):
+        SimConfig(crash_schedule=schedule).validate()
+
+
 @pytest.mark.parametrize("field", ["delete_ratio", "duplicate_prob", "drop_retry_prob"])
 def test_config_validation_rejects_a_probability_that_is_not_a_number(field):
     with pytest.raises(ValueError, match=field):
@@ -404,3 +411,21 @@ def test_event_log_counts_and_rows_come_from_the_packed_columns():
     assert log.count("flatten_commit") > 0
     assert rows[-1][1:3] == ("net", "converged")
     assert log == sim.run(config).event_log
+
+
+def test_a_nebula_enters_the_epoch_when_the_last_committed_op_arrives():
+    # The decision reaches the nebula before the core's last op does; the
+    # op's delivery, not the end-of-run sweep, takes the nebula across.
+    net = sim.Network(SimConfig(core_count=1, nebula_count=1, op_count=0))
+    core, nebula = net.sites
+    nebula.submit_local(OpKind.INSERT, position=0, atom=b"n")  # not committed
+    nebula.outbox.clear()
+    op = core.submit_local(OpKind.INSERT, position=0, atom=b"c")
+    core.outbox.clear()
+    ann = initiate_flatten(core, [core]).announcement
+    net._recv_decision(1, ann, b"", 0)
+    assert nebula.replica.epoch == 0 and nebula.announcements
+    assert nebula.deliver(op) is DeliverResult.APPLIED
+    net._after_delivery(1, 5, op)
+    assert nebula.replica.epoch == 1 and not nebula.announcements
+    assert [kind for _, _, kind, _ in net.log] == ["recv_decision", "catchup_emit"]

@@ -1,10 +1,10 @@
 from random import Random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from treedoc import LEFT, RIGHT, TID, MalformedTID, PathElement, compare_tid
-from treedoc.tid import MAX_DISAMBIGUATOR
+from treedoc.tid import MAX_DISAMBIGUATOR, _encode_varint
 
 from conftest import build_abcdef, random_doc, tid
 
@@ -106,6 +106,45 @@ def test_compare_agrees_with_rich_comparisons(a):
 @given(TIDS)
 def test_encode_decode_round_trip(t):
     assert TID.decode(t.encode()) == t
+
+
+def _reference_encode(t: TID) -> bytes:
+    """The per-element encoder ``TID.encode`` replaced: the wire format's
+    reference, one varint call and one bit at a time."""
+    pairs = []
+    if t.root_disambiguator is not None:
+        pairs.append((0, t.root_disambiguator))
+        pairs.extend(t.path)
+    out = bytearray(_encode_varint(len(pairs)))
+    bits = bytearray((len(pairs) + 7) // 8)
+    for i, (direction, _) in enumerate(pairs):
+        if direction:
+            bits[i // 8] |= 1 << (i % 8)
+    out += bits
+    for _, dis in pairs:
+        out += _encode_varint(len(dis))
+        out += dis
+    return bytes(out)
+
+
+@st.composite
+def _edge_tids(draw) -> TID:
+    """Depths at the direction-bit byte boundaries and past 127 pairs, with
+    disambiguators whose length takes one varint byte or two."""
+    depth = draw(st.sampled_from([0, 7, 8, 9, 16, 200]))
+    dis = st.sampled_from([b"A", b"a" * 127, b"b" * 128, b"c" * 300])
+    diss = draw(st.lists(dis, min_size=depth + 1, max_size=depth + 1))
+    dirs = draw(st.lists(st.integers(0, 1), min_size=depth, max_size=depth))
+    return TID(diss[0], tuple(map(PathElement, dirs, diss[1:])))
+
+
+@given(st.one_of(TIDS, _edge_tids()))
+@example(TID())
+@example(TID(b"c" * 300, tuple(PathElement(i % 2, b"b" * 128) for i in range(200))))
+def test_encode_matches_the_reference_encoder(t):
+    encoded = t.encode()
+    assert encoded == _reference_encode(t)
+    assert TID.decode(encoded) == t
 
 
 @given(TIDS)
