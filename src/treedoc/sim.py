@@ -9,10 +9,13 @@ contract the convergence argument needs. Reordering is legal because
 causal readiness is enforced at delivery, not by the transport.
 
 Topology: a site in the core gossips with everyone; a nebula site
-exchanges operations with core sites only, and the core relays nebula
-content onward. This keeps every not-yet-committed operation held by
-exactly one site ahead of a flatten, so catch-up translation happens once
-per operation.
+exchanges operations with core sites only. Each nebula site has a home
+core site (nebula k's is core k mod ``core_count``), and only that site
+relays the nebula's ops to the other nebula sites, however they reach it:
+delivered, drained from pending, or in a catch-up batch. A home core that
+is down relays them when it recovers.
+This keeps every not-yet-committed operation held by exactly one site
+ahead of a flatten, so catch-up translation happens once per operation.
 
 Crashed sites queue inbound messages and process them on recovery
 (crash-recovery, no amnesia).
@@ -232,10 +235,13 @@ class Network:
         cores = self._cores = range(n)
         nebulas = self._nebulas = range(n, len(self.sites))
         # Where a site's own ops go (a core site gossips with everyone, a nebula
-        # site with the core); where the core relays a nebula site's ops.
+        # site with the core); per core site, the nebula sites whose ops it
+        # relays, by id, and where to.
         self._targets = [[j for j in range(len(self.sites)) if j != i] for i in cores]
         self._targets += [list(cores) for _ in nebulas]
-        self._relay = {self.sites[i].id: [j for j in nebulas if j != i] for i in nebulas}
+        self._relay: list[dict[bytes, list[int]]] = [{} for _ in cores]
+        for k, i in enumerate(nebulas):
+            self._relay[k % n][self.sites[i].id] = [j for j in nebulas if j != i]
         self._index = {site.id: i for i, site in enumerate(self.sites)}
         # (tick, seq, kind, payload); a message's payload is (destination
         # index, message, log digest), its kind "op", "decision" or "catchup".
@@ -357,10 +363,12 @@ class Network:
         site = self.sites[dst]
         delivered = site.take_delivered()
         if site.role is Role.CORE:
-            # The core relays nebula content to the rest of the nebula. An op
-            # drained from pending or taken from a batch needs its own digest.
+            # A home core relays its nebula sites' ops to the other nebula
+            # sites. An op drained from pending or taken from a batch needs
+            # its own digest.
+            relay = self._relay[dst]
             for relayed in delivered:
-                targets = self._relay.get(relayed.origin)
+                targets = relay.get(relayed.origin)
                 if targets:
                     d = digest if relayed is op else _digest(_text("op", relayed))
                     for nb in targets:

@@ -313,8 +313,8 @@ GOLDEN = {
         SimConfig(seed=5, core_count=3, nebula_count=2, op_count=300,
                   flatten_interval=100, duplicate_prob=0.2, drop_retry_prob=0.1),
         None,
-        "5c2c0ab16141ab449f8949b854d9d82f0c1c2d87e9719b795f634c1058792fc5",
-        "bdccb0ddc90d2f44ac79731d5386315e3f22935b42e92606f850ce41bac27d1b",
+        "d2b70349a2f84378425df47f53f46faff09766c814bd72e9c3a36bb20d6d6fc6",
+        "6638aa11545a8789bc51dc474035d998b594dd75b2d7a869b418c8b2f71d9de1",
     ),
     "crash_window": (
         SimConfig(seed=11, core_count=3, nebula_count=1, op_count=400,
@@ -342,14 +342,16 @@ GOLDEN = {
         SimConfig(seed=11, core_count=4, nebula_count=3, op_count=600,
                   duplicate_prob=0.1, drop_retry_prob=0.05, flatten_interval=200),
         None,
-        "e3b537b2f8fd943cd1b54acacf01dca28aa176effb2c673b68e1211a6ca73463",
-        "40e40d3a7088b07721fc21999f3e64545481ef8eab5d337dd207da302eb10c20",
+        "5b2818876d5cec75c928daedc4dfe89e1a70a299bb3b676c4b36ba99fd284d8e",
+        "a95687564e34b8c90dc383191aef13d271ff3f977775d92da0301b6ee8200caa",
     ),
     "mid_stream_flatten": (
         SimConfig(seed=2, core_count=2, nebula_count=2, op_count=150),
-        68,  # a flatten pushed at this tick: nebulas emit catch-up batches
-        "34faf04acf7a02c119b3abc48a3e9496fd4634c5ff0bc81835bce6d42e5f91bd",
-        "1b5393ea25053f1e683d22a417cc627a424e08293f1fc5d0867a6c5a7cc895c8",
+        # A flatten pushed at this tick, the first in 20..80 at which a
+        # nebula of this config emits a catch-up batch.
+        35,
+        "b868bf2249ba71885102d048aa7f4c2d6ded52b1ed25629a9a5d1d21c70336db",
+        "2b41ae78aa1a0192dd9d98e7db89d7bcefa6d620b296a18e7b4c02f626ba7954",
     ),
 }
 
@@ -429,3 +431,15 @@ def test_a_nebula_enters_the_epoch_when_the_last_committed_op_arrives():
     net._after_delivery(1, 5, op)
     assert nebula.replica.epoch == 1 and not nebula.announcements
     assert [kind for _, _, kind, _ in net.log] == ["recv_decision", "catchup_emit"]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_each_replica_receives_each_op_once_without_duplication(seed):
+    # A core site's op goes to every other site, a nebula site's to the core
+    # and, from its home core alone, to the other nebula sites.
+    config = SimConfig(seed=seed, core_count=4, nebula_count=3, op_count=500,
+                       drop_retry_prob=0.1)
+    result = sim.run(config)
+    assert result.converged
+    receipts = sum(result.event_log.count(f"recv_{r.value}") for r in DeliverResult)
+    assert receipts == config.op_count * (4 + 3 - 1)
