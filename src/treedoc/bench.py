@@ -4,15 +4,14 @@ from __future__ import annotations
 
 import gc
 import time
-from dataclasses import dataclass
 from random import Random
+from typing import NamedTuple
 
 from .errors import InvariantViolation
 from .protocol import OpKind, Role, Site, initiate_flatten
 
 
-@dataclass(frozen=True)
-class BenchResult:
+class BenchResult(NamedTuple):
     op_count: int
     wall_seconds: float
     ops_per_sec: float

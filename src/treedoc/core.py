@@ -38,9 +38,8 @@ from __future__ import annotations
 import hashlib
 import struct
 from bisect import insort
-from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import (
     IndexOutOfRange,
@@ -123,8 +122,7 @@ class _Elements(dict):
         return pair
 
 
-@dataclass(frozen=True)
-class DocStats:
+class DocStats(NamedTuple):
     live_count: int
     tombstone_count: int
     max_depth: int

@@ -25,8 +25,7 @@ compares its rebuilt cyan skeleton with the announced digest.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .core import MajorNode, MiniNode, Treedoc, flat_digest, path_tid
 from .errors import IndexOutOfRange
@@ -37,8 +36,7 @@ from .tid import (
 Entry = tuple[bytes, Disambiguator]
 
 
-@dataclass(frozen=True)
-class FlattenResult:
+class FlattenResult(NamedTuple):
     new_doc: Treedoc
     mapping: dict[TID, TID]  # old live TID -> new TID, order-preserving
 

@@ -26,7 +26,6 @@ keeps of them, belong to the transport (``treedoc.sim``).
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, NamedTuple, Optional
 
@@ -91,21 +90,18 @@ class Operation(NamedTuple):
         return (self.origin, self.origin_seq)
 
 
-@dataclass(frozen=True)
-class PrepareMessage:
+class PrepareMessage(NamedTuple):
     coordinator: Disambiguator
     old_epoch: int
     op_set_digest: str
 
 
-@dataclass(frozen=True)
-class Vote:
+class Vote(NamedTuple):
     voter: Disambiguator
     decision: VoteDecision
 
 
-@dataclass(frozen=True)
-class FlattenAnnouncement:
+class FlattenAnnouncement(NamedTuple):
     """What a committed flatten tells the rest of the system.
 
     ``committed_ids`` is the identity set every core site had delivered in
@@ -119,8 +115,7 @@ class FlattenAnnouncement:
     doc_digest: str
 
 
-@dataclass(frozen=True)
-class FlattenOutcome:
+class FlattenOutcome(NamedTuple):
     committed: bool
     new_epoch: Optional[int] = None
     reason: Optional[AbortReason] = None

@@ -34,7 +34,6 @@ from __future__ import annotations
 import hashlib
 import heapq
 from array import array
-from dataclasses import dataclass, field
 from random import Random
 from typing import Iterable, Iterator, NamedTuple, Optional
 
@@ -68,15 +67,13 @@ _RECV_KIND = {result: f"recv_{result.value}" for result in DeliverResult}
 NET = -1  # the log's site index of the network itself
 
 
-@dataclass(frozen=True)
-class CrashWindow:
+class CrashWindow(NamedTuple):
     site_index: int
     tick_down: int
     tick_up: int
 
 
-@dataclass
-class SimConfig:
+class SimConfig(NamedTuple):
     seed: int = 0
     core_count: int = 3
     nebula_count: int = 0
@@ -100,7 +97,7 @@ class SimConfig:
         ):
             raise ValueError(f"crash_schedule must hold CrashWindows, got {schedule!r}")
         for window in schedule:
-            ints += [(f"crash window {k}", v) for k, v in vars(window).items()]
+            ints += [(f"crash window {k}", v) for k, v in window._asdict().items()]
         for name, value in ints:
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ValueError(f"{name} must be an int, got {value!r}")
@@ -155,14 +152,13 @@ class EventLog:
         return self.kinds.count(_KIND_INDEX[kind])
 
 
-@dataclass
-class SimResult:
+class SimResult(NamedTuple):
     converged: bool
     final_digest: str
     metrics: list[MetricsRow]
-    event_log: EventLog = field(repr=False)
-    diff: str = ""
-    sites: list[Site] = field(default_factory=list, repr=False)
+    event_log: EventLog
+    diff: str  # what differs, when not converged
+    sites: list[Site]
 
 
 def check_convergence(sites: list[Site]) -> tuple[bool, str, str]:

@@ -11,13 +11,12 @@ from __future__ import annotations
 import base64
 import re
 import time
-from dataclasses import dataclass
 from difflib import SequenceMatcher
 from enum import Enum
 from itertools import compress, count
 from operator import ne
 from pathlib import Path
-from typing import Iterable, Optional, TextIO
+from typing import Iterable, NamedTuple, Optional, TextIO
 
 from .errors import IndexOutOfRange, PositionOutOfRange
 from .protocol import OpKind, Role, Site, initiate_flatten
@@ -31,22 +30,41 @@ class Granularity(Enum):
     WORD = "word"
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     revision: int
     kind: OpKind
     position: int  # index into the live document at application time
     atom: Optional[bytes]  # present for inserts
 
 
-@dataclass(frozen=True)
 class MetricsRow:
-    op_index: int
-    tree_size_nodes: int
-    tombstone_fraction: float
-    mean_tid_encoded_bytes: float
-    op_duration: float
-    epoch: int
+    """The replica's structure after one replayed op.
+
+    A slots class, not a named tuple: replay keeps one per op, and
+    ``tracemalloc`` books a named tuple's instances to its generated
+    ``__new__`` (file ``<string>``), not to this module.
+    """
+
+    __slots__ = (
+        "op_index", "tree_size_nodes", "tombstone_fraction",
+        "mean_tid_encoded_bytes", "op_duration", "epoch",
+    )
+
+    def __init__(
+        self,
+        op_index: int,
+        tree_size_nodes: int,
+        tombstone_fraction: float,
+        mean_tid_encoded_bytes: float,
+        op_duration: float,
+        epoch: int,
+    ):
+        self.op_index = op_index
+        self.tree_size_nodes = tree_size_nodes
+        self.tombstone_fraction = tombstone_fraction
+        self.mean_tid_encoded_bytes = mean_tid_encoded_bytes
+        self.op_duration = op_duration
+        self.epoch = epoch
 
 
 def tokenize(text: str, granularity: Granularity | str) -> list[str]:
@@ -78,6 +96,8 @@ def diff_to_ops(
     new_rev: str,
     granularity: Granularity | str = Granularity.PARAGRAPH,
     revision: int = 0,
+    *,
+    units: Optional[list[str]] = None,
 ) -> list[TraceEvent]:
     """Common-subsequence diff over atom units.
 
@@ -93,9 +113,18 @@ def diff_to_ops(
     prefix. Where units repeat, this may pick another matching copy than a
     whole-document match would: the script is as valid, its positions may
     differ.
+
+    ``units``, when given, holds ``old_rev``'s units as ``tokenize`` splits
+    them; they stand in for splitting ``old_rev`` again, and the list is
+    refilled with ``new_rev``'s units. Along a chain of revisions each text
+    is then tokenized once.
     """
-    old_units = tokenize(old_rev, granularity)
     new_units = tokenize(new_rev, granularity)
+    if units is None:
+        old_units = tokenize(old_rev, granularity)
+    else:
+        old_units = units.copy()
+        units[:] = new_units
     shorter = min(len(old_units), len(new_units))
     prefix = _common_run(old_units, new_units, shorter)
     suffix = _common_run(reversed(old_units), reversed(new_units), shorter)
@@ -127,12 +156,19 @@ def diff_to_ops(
 def events_from_revisions(
     revisions: Iterable[str], granularity: Granularity | str = Granularity.PARAGRAPH
 ) -> list[TraceEvent]:
-    """Diff each revision against the previous one; revision 0 starts empty."""
+    """Diff each revision against the previous one; revision 0 starts empty.
+
+    One ``units`` list goes along the chain, so each revision is tokenized
+    once: its units are the new side of one diff and the old side of the
+    next. Every pair still goes through ``diff_to_ops``, so a profile of it
+    holds all of the ingest work.
+    """
     granularity = Granularity(granularity)
     events: list[TraceEvent] = []
     previous = ""
+    units: list[str] = []
     for rev_index, text in enumerate(revisions):
-        events.extend(diff_to_ops(previous, text, granularity, revision=rev_index))
+        events.extend(diff_to_ops(previous, text, granularity, rev_index, units=units))
         previous = text
     return events
 

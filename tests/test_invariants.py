@@ -1,7 +1,5 @@
 """Broken invariants raise InvariantViolation, and commit digests are checked."""
 
-import dataclasses
-
 import pytest
 
 from treedoc import (
@@ -87,7 +85,7 @@ def _nebula_and_announcement():
 
 def test_catch_up_rejects_a_tampered_announcement():
     nebula, announcement = _nebula_and_announcement()
-    nebula.receive_decision(dataclasses.replace(announcement, doc_digest="0" * 64))
+    nebula.receive_decision(announcement._replace(doc_digest="0" * 64))
     with pytest.raises(InvariantViolation, match="digest"):
         nebula.catch_up([], 1)
 

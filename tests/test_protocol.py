@@ -504,8 +504,6 @@ def test_catch_up_checks_epoch_and_announcement():
 
 
 def test_failed_digest_check_leaves_the_replica_intact():
-    from dataclasses import replace
-
     core, nebula = _core_and_nebula()
     for i, atom in enumerate(b"abcd"):
         core.submit_local(OpKind.INSERT, position=i, atom=bytes([atom]))
@@ -514,7 +512,7 @@ def test_failed_digest_check_leaves_the_replica_intact():
     nebula.submit_local(OpKind.DELETE, position=0)
     ann = initiate_flatten(core, [core]).announcement
     digest, text = nebula.replica.state_digest(), nebula.replica.text()
-    nebula.announcements[0] = replace(ann, doc_digest="0" * 64)
+    nebula.announcements[0] = ann._replace(doc_digest="0" * 64)
     with pytest.raises(InvariantViolation):
         nebula.catch_up([], 1)
     assert nebula.replica.state_digest() == digest

@@ -2,7 +2,7 @@ import re
 from random import Random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from treedoc import (
     Granularity,
@@ -219,6 +219,39 @@ def test_diff_hands_the_matcher_only_the_changed_window(monkeypatch):
     assert seen == [(units[500:503], burst)]
     assert len(events) == 3 + 5
     assert {e.position for e in events} <= set(range(500, 505))
+
+
+# Revisions with leading whitespace and runs of blank lines; picks from a
+# small pool (plus the empty text) repeat revisions and empty them.
+_REVISION = st.lists(st.sampled_from(["a", "b ", " ", "\n", "\n\n", "\n\n\n"]), max_size=8).map(
+    "".join
+)
+
+
+@settings(max_examples=300, deadline=None)
+@example(["  a\n\nb", "\n\n\nb a "], [0, 0, 2, 1, 2, 1, 0], Granularity.PARAGRAPH)
+@example(["  a\n\nb", "\n\n\nb a "], [0, 0, 2, 1, 2, 1, 0], Granularity.WORD)
+@given(
+    st.lists(_REVISION, min_size=1, max_size=4),
+    st.lists(st.integers(0, 4), max_size=8),
+    st.sampled_from(Granularity),
+)
+def test_events_from_revisions_concatenates_the_pairwise_diffs(pool, picks, granularity):
+    choices = [*pool, ""]
+    revisions = [choices[i % len(choices)] for i in picks]
+    expected = []
+    for i, (previous, text) in enumerate(zip(["", *revisions], revisions)):
+        expected += diff_to_ops(previous, text, granularity, revision=i)
+    assert events_from_revisions(revisions, granularity) == expected
+
+
+def test_diff_to_ops_reuses_and_refills_the_units_it_is_given():
+    old, new = "  a b\n\nc ", "a x b\n\n\nc"
+    for granularity in Granularity:
+        units = tokenize(old, granularity)
+        events = diff_to_ops(old, new, granularity, 3, units=units)
+        assert events == diff_to_ops(old, new, granularity, 3)
+        assert units == tokenize(new, granularity)
 
 
 def test_replay_fidelity_through_revision_chain():
