@@ -10,6 +10,8 @@ from typing import NamedTuple
 from .errors import InvariantViolation
 from .protocol import OpKind, Role, Site, initiate_flatten
 
+DELETE_RATIO = 0.3  # share of edits that delete, while anything is live
+
 
 class BenchResult(NamedTuple):
     op_count: int
@@ -48,7 +50,6 @@ def run_bench(
     op_count: int,
     flatten_every: int = 0,
     seed: int = 0,
-    delete_ratio: float = 0.3,
 ) -> BenchResult:
     """Run ``op_count`` random edits, flattening every ``flatten_every`` ops.
 
@@ -68,7 +69,7 @@ def run_bench(
         wall_start = time.perf_counter()
         for i in range(op_count):
             live = site.replica.live_count
-            if live > 0 and rng.random() < delete_ratio:
+            if live > 0 and rng.random() < DELETE_RATIO:
                 kind, pos, atom = OpKind.DELETE, rng.randrange(live), None
             else:
                 kind, pos, atom = (

@@ -8,29 +8,32 @@ node carries ``live_size``, the number of live atoms in its subtree.
 
 Three descents from the root address one node, each in O(depth):
 
-* ``_chain`` follows a TID, for ``find``, ``ancestors_exist``, ``insert``,
-  ``delete`` and ``graft``; the last three update ``live_size`` along it.
-  Below the root it tries a major node's first entry before a search.
+* ``_chain`` follows a TID, for ``find``, ``ancestors_exist``, ``insert``
+  and ``delete``; the last two update ``live_size`` along it. Below the
+  root it tries a major node's first entry before a search.
 * ``_locate`` follows a live position, for ``tid_of_live_index``,
   ``alloc_tid_at_position`` and the position-addressed edits ``insert_at``
   and ``delete_at``, which update the nodes it passed without a second walk.
 * ``_free_slot`` extends a descent to the nearest free slot on one side of
   its last node, for both allocators and ``insert_at``.
 
+A node enters a replica only through ``_link`` (``insert``, ``insert_at``),
+which counts its live size along the path and its ``TID.encoded_size``;
+``flatten``'s balanced builder counts a whole new tree at once.
+
 All traversals are iterative: degenerate trees (right spines thousands of
 nodes deep) are a normal workload here and would blow the recursion limit.
 Three passes cover the whole tree:
 
 * ``iter_nodes``, document (infix, i.e. TID) order, builds a TID only on
-  request (``path_tid``); it can also walk given subtrees only. ``walk``,
-  ``pretty``, ``state_digest``, ``flatten_local``, the simulator's
-  convergence check and catch-up's collect step (``protocol``) read the
-  whole tree; catch-up's emission reads the black subtrees it grafted.
+  request (``path_tid``). ``walk``, ``pretty``, ``state_digest``,
+  ``flatten_local``, the simulator's convergence check and catch-up's
+  collect step (``protocol``) read it.
 * ``live_nodes``, the live nodes only, serves flatten's commit path and
   ``atoms``/``text`` with no per-node bookkeeping.
-* ``_count``, a pre-order recount, serves ``stats`` and, over the grafted
-  subtree only, ``graft``. ``recompute_counters`` reads it too; nothing in
-  the package calls that, and the tests use it as their full recount.
+* ``_count``, a pre-order recount, serves ``stats``. ``recompute_counters``
+  reads it too; nothing in the package calls that, and the tests use it as
+  their full recount.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ import hashlib
 import struct
 from bisect import insort
 from enum import Enum
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .errors import (
     IndexOutOfRange,
@@ -193,17 +196,13 @@ class Treedoc:
 
     # -- updates ----------------------------------------------------------
 
-    def _add_live(self, chain: list[MiniNode], path: Sequence, delta: int) -> int:
+    def _add_live(self, chain: list[MiniNode], path: Sequence, delta: int) -> None:
         """Add ``delta`` to the root's live_size and, along ``path``, to each
-        mini of ``chain`` and the major node it leads into; returns ``path``'s
-        selector cost."""
+        mini of ``chain`` and the major node it leads into."""
         self.root.live_size += delta
-        cost = 0
-        for mini, (direction, dis) in zip(chain, path):
+        for mini, (direction, _) in zip(chain, path):
             mini.live_size += delta
             (mini.right if direction else mini.left).live_size += delta
-            cost += selector_cost(dis)
-        return cost
 
     def _link(self, tid: TID, chain: list[MiniNode], atom: bytes) -> None:
         """Link and count a live mini-node at the free slot ``tid``; ``chain``
@@ -220,8 +219,8 @@ class Treedoc:
             parent.set_child(direction, MajorNode([MiniNode(dis, atom)]))
         else:
             major.add(MiniNode(dis, atom))
-        cost = header_cost(len(tid.path) + 1) + selector_cost(tid.root_disambiguator)
-        self.tid_bytes_total += cost + self._add_live(chain, tid.path, 1)
+        self._add_live(chain, tid.path, 1)
+        self.tid_bytes_total += tid.encoded_size()
         self.live_count += 1
 
     def _tombstone(self, chain: list[MiniNode], path: Sequence) -> EffectReport:
@@ -270,37 +269,6 @@ class Treedoc:
         chain, path = self._locate(index)
         self._tombstone(chain, path)
         return TID._make(chain[0].disambiguator, tuple(path))
-
-    def graft(self, tid: TID, mini: MiniNode) -> None:
-        """Link the detached subtree under ``mini`` at the free slot ``tid``,
-        which becomes its TID, and count it in.
-
-        ``mini`` gets a major node of its own. The subtree's ``live_size``
-        fields must be right already: only the path above it is updated.
-        """
-        depth = len(tid.path)
-        chain = self._chain(tid)
-        major = MajorNode([mini])
-        if not depth:
-            if self.root.minis:
-                raise InvariantViolation(f"graft slot {tid!r} is taken: root not empty")
-            self.root = major
-        else:
-            if len(chain) < depth:
-                raise InvariantViolation(f"graft slot {tid!r} has no parent")
-            parent = chain[depth - 1]
-            direction = tid.path[-1].direction
-            if (parent.right if direction else parent.left) is not None:
-                raise InvariantViolation(f"graft slot {tid!r} is taken")
-            parent.set_child(direction, major)
-        # _count adds each node's own selector cost to the cost above it.
-        above = (tid.root_disambiguator, *(dis for _, dis in tid.path))[:-1]
-        start = (major, depth, sum(map(selector_cost, above)))
-        live, tombs, _, total_bytes = self._count(start=start)
-        self._add_live(chain, tid.path, live)
-        self.live_count += live
-        self.tombstone_count += tombs
-        self.tid_bytes_total += total_bytes
 
     # -- allocation -------------------------------------------------------
 
@@ -387,36 +355,21 @@ class Treedoc:
 
     # -- traversal --------------------------------------------------------
 
-    def iter_nodes(
-        self, starts: Optional[Iterable[tuple[MiniNode, TID]]] = None
-    ) -> Iterator[tuple[MiniNode, int, Optional[int], list]]:
+    def iter_nodes(self) -> Iterator[tuple[MiniNode, int, Optional[int], list]]:
         """Infix traversal yielding (mini, depth, direction, path).
 
         ``depth`` is the path length (root entries are depth 0) and
         ``direction`` the mini's own selector direction (None at root level).
         ``path`` is the traversal's stack: ``path_tid(path)`` gives the
         mini's TID until the iteration moves on. No TID is built otherwise.
-        ``path[-1][4]`` is the major node holding the mini, or None at a
-        start.
-
-        With ``starts``, only the subtree of each given mini-node is walked
-        (the mini and its children, not the other minis of its major node),
-        one after the other; each comes with its TID, which roots the
-        depths and TIDs yielded under it.
+        ``path[-1][4]`` is the major node holding the mini.
         """
+        if not self.root.minis:
+            return
         # Frame: [minis, index, direction into this major node, TID prefix
         # (root disambiguator, path elements) or None until path_tid asks,
-        # the major node]. ``base`` + len(stack) is the depth.
-        if starts is None:
-            if not self.root.minis:
-                return
-            seeds = iter([([self.root.minis, 0, None, (None, ()), self.root], -1)])
-        else:
-            seeds = (_start_frame(mini, tid) for mini, tid in starts)
-        seed = next(seeds, None)
-        if seed is None:
-            return
-        frame, base = seed
+        # the major node]. len(stack) - 1 is the depth.
+        frame = [self.root.minis, 0, None, (None, ()), self.root]
         stack: list[list] = [frame]
         push = stack.append
         pop = stack.pop
@@ -430,7 +383,7 @@ class Treedoc:
                 major = minis[0].left
                 direction = LEFT
             mini = frame[0][frame[1]]
-            yield mini, len(stack) + base, frame[2], stack
+            yield mini, len(stack) - 1, frame[2], stack
             major = mini.right
             if major is not None:
                 direction = RIGHT
@@ -445,14 +398,7 @@ class Treedoc:
                     break
                 pop()
                 if not stack:
-                    seed = next(seeds, None)
-                    if seed is None:
-                        return
-                    frame, base = seed
-                    push(frame)
-                    major = frame[0][0].left
-                    direction = LEFT
-                    break
+                    return
                 came_from = frame[2]
                 frame = stack[-1]
                 if came_from == LEFT:
@@ -527,21 +473,17 @@ class Treedoc:
     # -- measurement ------------------------------------------------------
 
     def _count(
-        self,
-        order: Optional[list[MajorNode]] = None,
-        start: Optional[tuple[MajorNode, int, int]] = None,
+        self, order: Optional[list[MajorNode]] = None
     ) -> tuple[int, int, int, int]:
         """(live, tombstones, max depth, TID bytes) from one pre-order pass.
 
         Appends every major node to ``order``, parents first, when given.
-        With ``start``, a (major node, its depth, the selector cost of the
-        path above it) frame, counts only that major node's subtree. Reads
-        the tree and writes nothing to it.
+        Reads the tree and writes nothing to it.
         """
         live = tombs = max_depth = total_bytes = 0
         # Each frame carries the depth and disambiguator cost of its major
         # node's path.
-        stack: list[tuple[MajorNode, int, int]] = [start or (self.root, 0, 0)]
+        stack: list[tuple[MajorNode, int, int]] = [(self.root, 0, 0)]
         while stack:
             major, depth, cost_above = stack.pop()
             if order is not None:
@@ -657,16 +599,6 @@ def path_tid(path: list) -> TID:
     if root_dis is None:
         return TID._make(dis, ())
     return TID._make(root_dis, elems + (PathElement(frame[2], dis),))
-
-
-def _start_frame(mini: MiniNode, tid: TID) -> tuple[list, int]:
-    """``iter_nodes``' bottom frame and depth base for the subtree of
-    ``mini``, whose TID is ``tid``."""
-    prefix, direction = (None, ()), None
-    if tid.path:
-        prefix = (tid.root_disambiguator, tid.path[:-1])
-        direction = tid.path[-1].direction
-    return [[mini], 0, direction, prefix, None], len(tid.path) - 1
 
 
 def flat_digest(

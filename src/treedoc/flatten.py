@@ -14,7 +14,7 @@ There is one builder, ``build_balanced``, and two ways in:
   is unusable afterwards. A nebula site's catch-up (``protocol``) relinks
   its replica's own cyan skeleton the same way, major nodes included, and
   finds the new TID of any skeleton entry with ``balanced_tid``, which
-  walks no tree.
+  walks no tree; its black subtrees then go back in through ``insert``.
 * ``flatten_local`` and ``build_balanced`` over ``(atom, disambiguator)``
   entries leave their input untouched: they relink fresh mini-nodes.
 

@@ -29,7 +29,7 @@ import hashlib
 from enum import Enum
 from typing import Callable, Iterable, NamedTuple, Optional
 
-from .core import EffectReport, MajorNode, MiniNode, Treedoc, path_tid
+from .core import EffectReport, MajorNode, MiniNode, Treedoc
 from .errors import (
     EpochMismatch, InvariantViolation, MissingAncestor, MissingTarget, ProtocolError
 )
@@ -452,10 +452,11 @@ class Site:
 
         * each black tombstone of the skeleton is deleted at its new TID,
           which the midpoint rule gives (``balanced_tid``);
-        * each black subtree is grafted, intact, at an order-preserving free
-          slot, which counts it in;
-        * the translated operations (original identities, new TIDs) are read
-          off those deletes and one walk of the grafted subtrees.
+        * each black subtree is inserted again, node by node in pre-order,
+          at an order-preserving free slot (``_gap_slot``, ``_slot_after``),
+          its tombstones deleted there too;
+        * the translated operations (original identities, new TIDs) are
+          emitted as those deletes and inserts are applied.
 
         They are ordered by depth, inserts before deletes, then document
         order, so a receiver applies each one without buffering. The emitted
@@ -501,7 +502,6 @@ class Site:
             emissions.append(
                 Operation(new_epoch, OpKind.DELETE, tid, None, *black[mini][1])
             )
-        starts: list[tuple[MiniNode, TID]] = []
         for gap, roots in groups.items():
             first = roots[0]
             if skeleton:
@@ -509,24 +509,37 @@ class Site:
                 tid = balanced_tid(skeleton, index).child(
                     direction, first.disambiguator
                 )
+                # insert would put the root beside a node already there.
+                parent = skeleton[index]
+                if (parent.right if direction else parent.left) is not None:
+                    raise InvariantViolation(f"black root slot {tid!r} is taken")
             else:
+                # Only gap 0, in an empty tree.
                 tid = TID(first.disambiguator)
-            new_doc.graft(tid, first)
-            starts.append((first, tid))
+            # Pre-order, parents first; a later root hangs below the right
+            # spine of the one before it, so each root's subtree goes first.
+            todo = [(first, tid)]
             for above, root in zip(roots, roots[1:]):
                 tid = _slot_after(above, tid, root.disambiguator)
-                new_doc.graft(tid, root)
-        for mini, _, _, path in new_doc.iter_nodes(starts):
-            # A black subtree holds black inserts only.
-            ins, dele = black[mini]
-            new_tid = path_tid(path)
-            emissions.append(
-                Operation(new_epoch, OpKind.INSERT, new_tid, mini.atom, *ins)
-            )
-            if dele is not None:
+                todo.append((root, tid))
+            todo.reverse()
+            while todo:
+                mini, tid = todo.pop()
+                # A black subtree holds black inserts only.
+                ins, dele = black[mini]
+                new_doc.insert(tid, mini.atom)
                 emissions.append(
-                    Operation(new_epoch, OpKind.DELETE, new_tid, None, *dele)
+                    Operation(new_epoch, OpKind.INSERT, tid, mini.atom, *ins)
                 )
+                if dele is not None:
+                    new_doc.delete(tid)
+                    emissions.append(
+                        Operation(new_epoch, OpKind.DELETE, tid, None, *dele)
+                    )
+                for side, major in ((LEFT, mini.left), (RIGHT, mini.right)):
+                    if major is not None:
+                        for child in major.minis:
+                            todo.append((child, tid.child(side, child.disambiguator)))
         # TID order is document order.
         emissions.sort(
             key=lambda op: (op.tid.depth, op.kind is OpKind.DELETE, op.tid)
@@ -581,8 +594,8 @@ def _gap_slot(skeleton: list[MiniNode], gap: int) -> tuple[int, int]:
     (skeleton index, direction).
 
     Between consecutive infix neighbours one of (left.right, right.left) is
-    always absent in a freshly built tree, so attaching there cannot collide
-    with a cyan node and never needs the major-node merge case.
+    always absent in a freshly built tree, so a black root inserted there
+    never joins a cyan node's major node.
     """
     if gap == 0:
         return 0, LEFT
@@ -595,7 +608,8 @@ def _gap_slot(skeleton: list[MiniNode], gap: int) -> tuple[int, int]:
 
 def _slot_after(mini: MiniNode, tid: TID, dis: Disambiguator) -> TID:
     """TID for a node with disambiguator ``dis`` at the free slot right of
-    everything under ``mini``, whose TID is ``tid``."""
+    everything under ``mini``, whose TID is ``tid``. Catch-up passes the
+    replica's old node: its re-inserted copy has the same shape."""
     path = list(tid.path)
     while mini.right is not None:
         mini = mini.right.minis[-1]

@@ -8,9 +8,10 @@ the same nebula histories both must give the same skeleton and the same
 black subtree roots in the same gaps.
 
 The rest of the catch-up touches only what is black. After it, every
-``live_size`` and document counter must equal a full recount, and the
-emitted operations must equal ``reference_emission``: one walk of the whole
-rebuilt tree and a stable sort.
+``live_size`` and document counter must equal a full recount, the TID
+bytes counter must equal the wire bytes of every TID, and the emitted
+operations must equal ``reference_emission``: one walk of the whole rebuilt
+tree and a stable sort.
 """
 
 import pytest
@@ -117,10 +118,15 @@ def run_history(n_nebulas, history):
 def reference_emission(doc, black, epoch):
     """The black table's operations at their TIDs in ``doc``, read off one
     walk of the whole tree in document order and stably sorted by depth,
-    inserts before deletes."""
+    inserts before deletes.
+
+    Catch-up inserts the black subtrees as fresh nodes, so the table is
+    matched by (disambiguator, atom), which is unique per (site, seq) here.
+    """
+    by_value = {(m.disambiguator, m.atom): entry for m, entry in black.items()}
     ops = []
     for mini, _, _, path in doc.iter_nodes():
-        entry = black.get(mini)
+        entry = by_value.get((mini.disambiguator, mini.atom))
         if entry is None:
             continue
         tid = path_tid(path)
@@ -160,6 +166,7 @@ def check_collect(site, ann):
     kept = counts(doc)
     doc.recompute_counters()
     assert kept == counts(doc)
+    assert doc.tid_bytes_total == sum(len(t.encode()) for t, _ in doc.walk())
     assert emitted == reference_emission(doc, black, ann.new_epoch)
     inserted = {op.tid for op in emitted if op.kind is OpKind.INSERT}
     deleted = [op.tid for op in emitted if op.kind is OpKind.DELETE]

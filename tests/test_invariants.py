@@ -13,8 +13,7 @@ from treedoc import (
     TID,
     initiate_flatten,
 )
-from treedoc import bench
-from treedoc.core import MiniNode, Treedoc
+from treedoc import bench, protocol
 from treedoc.protocol import AbortReason, FlattenOutcome
 from treedoc.tid import LEFT, RIGHT, PathElement
 
@@ -122,14 +121,21 @@ def test_commit_flatten_with_a_pending_op():
         site._commit_flatten()
 
 
-def test_attach_at_a_taken_slot():
-    doc = Treedoc()
-    doc.insert(TID(b"A"), b"p")
-    doc.graft(TID(b"A", ((LEFT, b"A"),)), MiniNode(b"A", b"x"))
-    for tid in (TID(b"A", ((LEFT, b"B"),)), TID(b"A", ((LEFT, b"A"),)), TID(b"B")):
-        with pytest.raises(InvariantViolation, match="taken"):
-            doc.graft(tid, MiniNode(b"B", b"y"))
-    assert doc.atoms() == [b"x", b"p"] and doc.counters_consistent()
+def test_attach_at_a_taken_slot(monkeypatch):
+    # Catch-up puts a black root back with ``insert``, which would add it
+    # beside a node already at its slot, out of order: it must refuse.
+    core = Site(b"A", Role.CORE)
+    nebula = Site(b"N", Role.NEBULA)
+    for i, atom in enumerate((b"a", b"b", b"c")):
+        nebula.deliver(core.submit_local(OpKind.INSERT, position=i, atom=atom))
+    nebula.submit_local(OpKind.INSERT, position=3, atom=b"x")
+    core.outbox.clear()
+    ann = initiate_flatten(core, [core]).announcement
+    nebula.receive_decision(ann)
+    # Skeleton a, b, c rebuilds as b over a and c: b's left slot holds a.
+    monkeypatch.setattr(protocol, "_gap_slot", lambda skeleton, gap: (1, LEFT))
+    with pytest.raises(InvariantViolation, match="taken"):
+        nebula.catch_up([], ann.new_epoch)
 
 
 def test_bench_rejects_an_aborted_flatten(monkeypatch):

@@ -305,6 +305,44 @@ def test_flatten_mid_stream_reaches_the_catch_up_batch_path():
     assert emitting >= 3
 
 
+def test_catch_up_under_faults_keeps_every_edit(monkeypatch):
+    # The mid-stream flatten above, under duplication, retried drops and a
+    # crash window on a nebula or a core site: every replica must converge
+    # on exactly the atoms that were inserted and not deleted.
+    inserted, deleted = set(), set()
+    submit = Site.submit_local
+
+    def recording(site, kind, *, position=None, atom=None):
+        op = submit(site, kind, position=position, atom=atom)
+        if kind is OpKind.INSERT:
+            inserted.add(atom)
+        else:
+            deleted.add(site.replica.find(op.tid).atom)
+        return op
+
+    monkeypatch.setattr(Site, "submit_local", recording)
+    emitting = 0
+    for seed in range(4):
+        for crashes in ((), (CrashWindow(3, 30, 70),), (CrashWindow(1, 25, 60),)):
+            for tick in range(20, 81, 2):
+                inserted.clear()
+                deleted.clear()
+                net = sim.Network(SimConfig(
+                    seed=seed, core_count=2, nebula_count=2, op_count=150,
+                    duplicate_prob=0.2, drop_retry_prob=0.1, crash_schedule=crashes,
+                ))
+                net._push(tick, "flatten", 0)
+                result = net.run()
+                case = (seed, crashes, tick)
+                assert result.converged, (case, result.diff)
+                # Converged: every replica holds the first one's atoms.
+                atoms = result.sites[0].replica.atoms()
+                assert sorted(atoms) == sorted(inserted - deleted), case
+                kinds = [kind for _, _, kind, _ in result.event_log]
+                emitting += "catchup_emit" in kinds
+    assert emitting >= 15
+
+
 # sha256 of write_event_log and write_metrics_csv output for fixed configs,
 # as the simulator wrote them when it kept its log as tuples; a change to its
 # draws, its messages or its log format moves them.
