@@ -32,7 +32,6 @@ from .protocol import (
     Role,
     Site,
     VoteDecision,
-    causal_ready,
     ids_digest,
     initiate_flatten,
 )
@@ -80,7 +79,6 @@ __all__ = [
     "UnknownTID",
     "VoteDecision",
     "build_balanced",
-    "causal_ready",
     "compare_tid",
     "diff_to_ops",
     "events_from_revisions",

@@ -15,7 +15,8 @@ Three descents from the root address one node, each in O(depth):
   ``alloc_tid_at_position`` and the position-addressed edits ``insert_at``
   and ``delete_at``, which update the nodes it passed without a second walk.
 * ``_free_slot`` extends a descent to the nearest free slot on one side of
-  its last node, for both allocators and ``insert_at``.
+  its last node, for both allocators and ``insert_at``. Paths take their
+  elements from ``tid.ELEMENTS``, one table shared by every replica.
 
 A node enters a replica only through ``_link`` (``insert``, ``insert_at``),
 which counts its live size along the path and its ``TID.encoded_size``;
@@ -53,6 +54,7 @@ from .errors import (
     UnknownTID,
 )
 from .tid import (
+    ELEMENTS,
     LEFT,
     RIGHT,
     Disambiguator,
@@ -117,14 +119,6 @@ class MajorNode:
         insort(self.minis, mini, key=lambda m: m.disambiguator)
 
 
-class _Elements(dict):
-    """Disambiguator -> its (left, right) path elements, made once per replica."""
-
-    def __missing__(self, dis: Disambiguator) -> tuple[PathElement, PathElement]:
-        pair = self[dis] = (PathElement(LEFT, dis), PathElement(RIGHT, dis))
-        return pair
-
-
 class DocStats(NamedTuple):
     live_count: int
     tombstone_count: int
@@ -141,13 +135,10 @@ class Treedoc:
     suite checks that.
     """
 
-    __slots__ = (
-        "root", "epoch", "live_count", "tombstone_count", "tid_bytes_total", "_elements"
-    )
+    __slots__ = ("root", "epoch", "live_count", "tombstone_count", "tid_bytes_total")
 
     def __init__(self, epoch: int = 0):
         self.root = MajorNode()
-        self._elements = _Elements()
         self.epoch = epoch
         self.live_count = 0
         self.tombstone_count = 0
@@ -276,7 +267,7 @@ class Treedoc:
         """Fresh TID at the free slot beside ``chain[-1]`` on side ``direction``;
         extends ``chain`` and ``path`` (``chain[-1]``'s TID) down to it."""
         _check_disambiguator(site)
-        elements = self._elements
+        elements = ELEMENTS
         major = chain[-1].right if direction else chain[-1].left
         while major is not None:
             mini = major.minis[0]
@@ -319,7 +310,7 @@ class Treedoc:
         major = self.root
         chain: list[MiniNode] = []
         path: list[PathElement] = []
-        elements = self._elements
+        elements = ELEMENTS
         k, direction = index, None
         while True:
             for mini in major.minis:
@@ -592,13 +583,13 @@ def path_tid(path: list) -> TID:
         if root_dis is None:
             root_dis = dis
         else:
-            elems += (PathElement(parent[2], dis),)
+            elems += (ELEMENTS[dis][parent[2]],)
         path[k][3] = (root_dis, elems)
     frame = path[top]
     dis = frame[0][frame[1]].disambiguator
     if root_dis is None:
         return TID._make(dis, ())
-    return TID._make(root_dis, elems + (PathElement(frame[2], dis),))
+    return TID._make(root_dis, elems + (ELEMENTS[dis][frame[2]],))
 
 
 def flat_digest(

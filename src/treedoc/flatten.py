@@ -29,9 +29,7 @@ from typing import NamedTuple, Optional, Sequence, Union
 
 from .core import MajorNode, MiniNode, Treedoc, flat_digest, path_tid
 from .errors import IndexOutOfRange
-from .tid import (
-    LEFT, RIGHT, Disambiguator, PathElement, TID, header_cost, selector_cost
-)
+from .tid import ELEMENTS, LEFT, RIGHT, Disambiguator, TID, header_cost, selector_cost
 
 Entry = tuple[bytes, Disambiguator]
 
@@ -131,7 +129,7 @@ def balanced_tid(minis: Sequence[MiniNode], index: int) -> TID:
         else:
             lo, direction = mid + 1, RIGHT
         mid = (lo + hi) // 2
-        path.append(PathElement(direction, minis[mid].disambiguator))
+        path.append(ELEMENTS[minis[mid].disambiguator][direction])
     return TID._make(root, tuple(path))
 
 

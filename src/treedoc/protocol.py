@@ -34,7 +34,7 @@ from .errors import (
     EpochMismatch, InvariantViolation, MissingAncestor, MissingTarget, ProtocolError
 )
 from .flatten import balanced_tid, build_balanced, flat_digest, flatten_for_commit
-from .tid import LEFT, RIGHT, Disambiguator, PathElement, TID, _check_disambiguator
+from .tid import ELEMENTS, LEFT, RIGHT, Disambiguator, TID, _check_disambiguator
 
 Identity = tuple[Disambiguator, int]
 # Catch-up's black effects: node -> (uncommitted insert, delete to emit).
@@ -129,13 +129,6 @@ def ids_digest(ids: Iterable[Identity]) -> str:
         h.update(origin)
         h.update(f":{seq};".encode())
     return h.hexdigest()
-
-
-def causal_ready(replica: Treedoc, op: Operation) -> bool:
-    """Structural delivery condition; no vector clocks involved."""
-    if op.kind is OpKind.DELETE:
-        return replica.find(op.tid) is not None
-    return replica.ancestors_exist(op.tid)
 
 
 class Site:
@@ -613,8 +606,8 @@ def _slot_after(mini: MiniNode, tid: TID, dis: Disambiguator) -> TID:
     path = list(tid.path)
     while mini.right is not None:
         mini = mini.right.minis[-1]
-        path.append(PathElement(RIGHT, mini.disambiguator))
-    path.append(PathElement(RIGHT, dis))
+        path.append(ELEMENTS[mini.disambiguator][RIGHT])
+    path.append(ELEMENTS[dis][RIGHT])
     return TID._make(tid.root_disambiguator, tuple(path))
 
 

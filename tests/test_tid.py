@@ -3,8 +3,9 @@ from random import Random
 import pytest
 from hypothesis import example, given, strategies as st
 
-from treedoc import LEFT, RIGHT, TID, MalformedTID, PathElement, compare_tid
-from treedoc.tid import MAX_DISAMBIGUATOR, _encode_varint
+from treedoc import LEFT, RIGHT, TID, MalformedTID, PathElement, Treedoc, compare_tid
+from treedoc.flatten import balanced_tid, flatten_local
+from treedoc.tid import ELEMENTS, ELEMENTS_CAP, MAX_DISAMBIGUATOR, _encode_varint
 
 from conftest import build_abcdef, random_doc, tid
 
@@ -17,6 +18,11 @@ TIDS = st.one_of(
         DIS,
         ELEMS,
     ),
+)
+
+# Replicas grown by random position edits from three sites.
+DOCS = st.builds(
+    lambda seed, n: random_doc(Random(seed), n), st.integers(0, 2**16), st.integers(1, 60)
 )
 
 
@@ -272,3 +278,87 @@ def test_decode_rejects_non_canonical_spellings(hex_bytes):
     with pytest.raises(MalformedTID):
         TID.decode(bytes.fromhex(hex_bytes))
     assert TID.decode(bytes.fromhex("01000161")) == TID(b"a")
+
+
+# -- value semantics and the shared element table -----------------------------
+
+
+def _same_value(a: TID, b: TID) -> None:
+    assert a == b and hash(a) == hash(b) and compare_tid(a, b) == 0
+
+
+def _copied(t: TID) -> TID:
+    """An equal TID through ``__init__``, from fresh copies of its bytes."""
+    root = t.root_disambiguator
+    return TID(
+        None if root is None else bytes(bytearray(root)),
+        tuple((d, bytes(bytearray(dis))) for d, dis in t.path),
+    )
+
+
+@given(TIDS, st.integers(0, 1), DIS)
+def test_equal_tids_hash_equal_however_made(t, direction, dis):
+    _same_value(TID.decode(t.encode()), t)
+    _same_value(_copied(t), t)
+    if t.root_disambiguator is not None:
+        child = t.child(direction, dis)
+        _same_value(child.parent(), t)
+        _same_value(TID.decode(child.encode()), _copied(child))
+        _same_value(child, TID(t.root_disambiguator, (*t.path, (direction, dis))))
+
+
+@given(DOCS, st.integers(0, 2**16), st.sampled_from([b"A", b"B", b"new-site"]))
+def test_allocated_walked_and_balanced_tids_hash_equal(doc, pick, site):
+    walked = [t for t, _ in doc.walk()]
+    live = [t for t, mini in doc.walk() if not mini.tombstone]
+    for i, t in enumerate(live):
+        _same_value(doc.tid_of_live_index(i), t)
+    for t in walked:
+        _same_value(TID.decode(t.encode()), t)
+        if t.path:
+            _same_value(t.parent(), walked[walked.index(t.parent())])
+    position = pick % (doc.live_count + 1)
+    allocated = doc.alloc_tid_at_position(position, site)
+    inserted = doc.insert_at(position, site, b"x")
+    _same_value(inserted, allocated)
+    _same_value(doc.tid_of_live_index(position), inserted)
+    _same_value(TID.decode(inserted.encode()), _copied(inserted))
+    assert inserted in {t for t, _ in doc.walk()}
+    flat = flatten_local(doc).new_doc
+    minis = flat.live_nodes()[0]
+    for i, (t, _) in enumerate(flat.walk()):
+        _same_value(balanced_tid(minis, i), t)
+
+
+def test_decoded_elements_come_from_the_table():
+    path = ((LEFT, b"site-1"), (RIGHT, b"site-2"), (RIGHT, b"site-1"))
+    data = TID(b"root-site", path).encode()
+    ELEMENTS.clear()
+    a, b = TID.decode(data), TID.decode(data)
+    assert all(x is y for x, y in zip(a.path, b.path))
+    assert a.path[0] is ELEMENTS[b"site-1"][LEFT]
+    assert a.path[2] is ELEMENTS[b"site-1"][RIGHT]
+    assert a.path[0].disambiguator is a.path[2].disambiguator
+    assert a.root_disambiguator is ELEMENTS[b"root-site"][LEFT].disambiguator
+    assert b.root_disambiguator is a.root_disambiguator
+
+
+def test_the_table_stays_bounded_and_survives_emptying():
+    ELEMENTS.clear()
+    doc = Treedoc()
+    first = doc.insert_at(0, b"writer", b"a")
+    early = TID.decode(first.encode())
+    sizes = []
+    for n in range(2 * ELEMENTS_CAP + 10):
+        # Two pairs, the second stepping right: root "writer", then "dNNNNN".
+        data = b"\x02\x02\x06writer\x06" + b"d%05d" % n
+        decoded = TID.decode(data)
+        assert decoded.encode() == data
+        assert decoded.path[0].disambiguator == b"d%05d" % n
+        sizes.append(len(ELEMENTS))
+    assert max(sizes) == ELEMENTS_CAP and min(sizes) <= 2
+    _same_value(TID.decode(first.encode()), early)
+    second = doc.insert_at(1, b"writer", b"b")
+    _same_value(TID.decode(second.encode()), second)
+    _same_value(doc.alloc_tid_at_position(2, b"other"), doc.insert_at(2, b"other", b"c"))
+    assert doc.atoms() == [b"a", b"b", b"c"]
