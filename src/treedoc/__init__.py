@@ -13,6 +13,7 @@ from .core import EffectReport, Treedoc
 from .errors import (
     EpochMismatch,
     IndexOutOfRange,
+    IntentViolation,
     InvariantViolation,
     MalformedTID,
     MissingAncestor,
@@ -57,6 +58,7 @@ __all__ = [
     "EpochMismatch",
     "Granularity",
     "IndexOutOfRange",
+    "IntentViolation",
     "InvariantViolation",
     "LEFT",
     "MalformedTID",

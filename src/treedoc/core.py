@@ -19,7 +19,7 @@ Three descents from the root address one node, each in O(depth):
   elements from ``tid.ELEMENTS``, one table shared by every replica.
 
 A node enters a replica only through ``_link`` (``insert``, ``insert_at``),
-which counts its live size along the path and its ``TID.encoded_size``;
+which counts its live size along the path and its TID's cached wire size;
 ``flatten``'s balanced builder counts a whole new tree at once.
 
 All traversals are iterative: degenerate trees (right spines thousands of
@@ -29,9 +29,9 @@ Three passes cover the whole tree:
 * ``iter_nodes``, document (infix, i.e. TID) order, builds a TID only on
   request (``path_tid``). ``walk``, ``pretty``, ``state_digest``,
   ``flatten_local``, the simulator's convergence check and catch-up's
-  collect step (``protocol``) read it.
-* ``live_nodes``, the live nodes only, serves flatten's commit path and
-  ``atoms``/``text`` with no per-node bookkeeping.
+  collect step (``protocol``) with something black read it.
+* ``live_nodes``, the live nodes only, serves flatten's commit path, an
+  all-cyan catch-up's collect and ``atoms``/``text``, with no bookkeeping.
 * ``_count``, a pre-order recount, serves ``stats``. ``recompute_counters``
   reads it too; nothing in the package calls that, and the tests use it as
   their full recount.

@@ -55,6 +55,10 @@ class NonConvergenceError(TreedocError):
         self.diff = diff
 
 
+class IntentViolation(InvariantViolation):
+    """A replica's live atoms are not the inserted minus the deleted ones."""
+
+
 class PositionOutOfRange(TreedocError):
     """A trace event addressed a position outside the live document."""
 

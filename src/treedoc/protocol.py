@@ -406,8 +406,10 @@ class Site:
         root is the black insert whose parent is not one; gap 0 is the
         virtual sentinel before the first entry, and the gaps come in
         ascending order. A cyan tombstone drops out; its subtrees stay in
-        document order.
+        document order. With nothing black, it is the commit path's ``live_nodes``.
         """
+        if not black:
+            return (*self.replica.live_nodes(), [], {})
         skeleton: list[MiniNode] = []
         owners: list[Optional[MajorNode]] = []
         deleted: list[int] = []

@@ -34,11 +34,12 @@ from __future__ import annotations
 import hashlib
 import heapq
 from array import array
+from collections import Counter
 from random import Random
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from . import protocol
-from .errors import NonConvergenceError
+from .errors import IntentViolation, NonConvergenceError
 from .protocol import (
     DeliverResult,
     FlattenAnnouncement,
@@ -159,6 +160,7 @@ class SimResult(NamedTuple):
     event_log: EventLog
     diff: str  # what differs, when not converged
     sites: list[Site]
+    intent: str  # "" or the atoms a replica misses or holds beyond the ops' intent
 
 
 def check_convergence(sites: list[Site]) -> tuple[bool, str, str]:
@@ -248,6 +250,7 @@ class Network:
         self._held: list[list[tuple]] = [[] for _ in self.sites]
         self._sent = 0
         self._last_sample: Optional[tuple[int, int, int]] = None
+        self._intended: dict[bytes, bool] = {}  # generated atom -> should be live
 
     # -- scheduling -------------------------------------------------------
 
@@ -298,11 +301,13 @@ class Network:
         live = site.replica.live_count
         if live > 0 and self.rng.random() < self.config.delete_ratio:
             op = site.submit_local(OpKind.DELETE, position=self.rng.randrange(live))
+            self._intended[site.replica.find(op.tid).atom] = False
         else:
             atom = f"[{site.id.decode()}#{site.next_seq}]".encode()
             op = site.submit_local(
                 OpKind.INSERT, position=self.rng.randint(0, live), atom=atom
             )
+            self._intended[atom] = True
         site.outbox.clear()  # dispatched right here
         text = _op_text(op)
         self._log(now, origin, "submit", _digest(text))
@@ -458,14 +463,28 @@ class Network:
         converged, diff, final = check_convergence(self.sites)
         outcome = "converged" if converged else "diverged"
         self._log(last_tick, NET, outcome, _digest(final))
-        return SimResult(converged, final, self.metrics, self.log, diff, self.sites)
+        # Converged replicas hold one text, so the first site speaks for all.
+        intent = self._check_intent(self.sites if diff else self.sites[:1])
+        return SimResult(converged, final, self.metrics, self.log, diff, self.sites, intent)
+
+    def _check_intent(self, sites: list[Site]) -> str:
+        """What the first of ``sites`` off the ops' intent misses and holds beyond it."""
+        want = Counter(atom for atom, live in self._intended.items() if live)
+        for site in sites:
+            have = Counter(site.replica.atoms())
+            if have != want:
+                missing, extra = sorted(want - have), sorted(have - want)
+                return f"{site.id!r} misses {missing} and holds {extra} beyond"
+        return ""
 
 
 def run(config: SimConfig, *, strict: bool = False) -> SimResult:
-    """Run one simulation; with ``strict`` a divergence raises."""
+    """Run one simulation; with ``strict`` a divergence or an intent failure raises."""
     result = Network(config).run()
     if strict and not result.converged:
         raise NonConvergenceError(result.diff)
+    if strict and result.intent:
+        raise IntentViolation(result.intent)
     return result
 
 

@@ -17,7 +17,9 @@ lexicographic order realises those rules: each element becomes
 ``(0, dis)`` for a left step or ``(2, dis)`` for a right step, the root
 entry becomes ``(1, dis)``, and a ``(1, b"")`` terminator marks the
 ancestor position itself. The key is built once per TID (lazily, on first
-comparison), so comparisons and sorting reduce to tuple comparison.
+comparison), so comparisons and sorting reduce to tuple comparison. So is the
+wire size (``_size``, on first ``encoded_size``), which every replica applying
+one operation then reads; neither cache enters equality, hashing or copying.
 
 Every path element comes from one bounded, shared table (``ELEMENTS``), so
 decoded and allocated TIDs, and the nodes made from them, hold one element
@@ -80,7 +82,7 @@ class TID:
     such as ``10``; an absent disambiguator sorts before every real one).
     """
 
-    __slots__ = ("root_disambiguator", "path", "_key", "_hash")
+    __slots__ = ("root_disambiguator", "path", "_key", "_size", "_hash")
 
     def __init__(
         self,
@@ -100,6 +102,7 @@ class TID:
         object.__setattr__(self, "root_disambiguator", root_disambiguator)
         object.__setattr__(self, "path", tuple(elems))
         object.__setattr__(self, "_key", None)
+        object.__setattr__(self, "_size", None)
         object.__setattr__(self, "_hash", hash((root_disambiguator, self.path)))
 
     @classmethod
@@ -110,6 +113,7 @@ class TID:
         object.__setattr__(self, "root_disambiguator", root_disambiguator)
         object.__setattr__(self, "path", path)
         object.__setattr__(self, "_key", None)
+        object.__setattr__(self, "_size", None)
         object.__setattr__(self, "_hash", hash((root_disambiguator, path)))
         return self
 
@@ -126,6 +130,15 @@ class TID:
 
     def __setattr__(self, name, value):
         raise AttributeError("TID is immutable")
+
+    def __reduce__(self):
+        # Rebuilt through the validating constructor, with empty caches.
+        return TID, (self.root_disambiguator, self.path)
+
+    def __copy__(self, memo=None):
+        return self  # immutable
+
+    __deepcopy__ = __copy__
 
     # -- ordering ---------------------------------------------------------
 
@@ -240,12 +253,16 @@ class TID:
         return cls._make(pairs[0][1] if pairs else None, tuple(pairs[1:]))
 
     def encoded_size(self) -> int:
-        """len(self.encode()) without building the bytes."""
-        if self.root_disambiguator is None:
+        """len(self.encode()) without building the bytes; computed once."""
+        root = self.root_disambiguator
+        if root is None:
             return 1  # varint 0
-        size = header_cost(len(self.path) + 1) + selector_cost(self.root_disambiguator)
-        for _, dis in self.path:
-            size += selector_cost(dis)
+        size = self._size
+        if size is None:
+            size = header_cost(len(self.path) + 1) + selector_cost(root)
+            for _, dis in self.path:
+                size += selector_cost(dis)
+            object.__setattr__(self, "_size", size)
         return size
 
 

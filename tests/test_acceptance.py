@@ -34,11 +34,14 @@ def _verdict(name: str, ok: bool, detail: str) -> None:
 
 
 def _run_config(config: SimConfig) -> bool:
-    return sim_mod.run(config).converged
+    # Converged, and every replica holds the inserted minus the deleted atoms.
+    result = sim_mod.run(config)
+    return result.converged and not result.intent
 
 
 def test_criterion_1_convergence_suite():
-    """200 random multi-site runs with duplication and reordering, < 60 s."""
+    """200 random multi-site runs with duplication and reordering, < 60 s,
+    each converged and true to its ops' intent."""
     rng = Random(0xC0FFEE)
     configs = []
     for _ in range(200):

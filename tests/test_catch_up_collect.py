@@ -14,10 +14,12 @@ operations must equal ``reference_emission``: one walk of the whole rebuilt
 tree and a stable sort.
 """
 
+from random import Random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from treedoc import OpKind, Operation, Role, Site, initiate_flatten
+from treedoc import OpKind, Operation, Role, Site, Treedoc, initiate_flatten
 from treedoc.core import MiniNode, path_tid
 
 NEBULAS = (b"N1", b"N2", b"N3")
@@ -301,3 +303,71 @@ def test_collect_matches_the_reference_walk_on_each_case(case):
     for site in nebulas:
         found |= check_collect(site, ann)
     assert case in found
+
+
+# -- a nebula with nothing black ----------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_nebulas=st.integers(1, 3), history=st.lists(STEP, max_size=40))
+def test_an_all_cyan_collect_is_live_nodes(n_nebulas, history):
+    _, nebulas, _ = run_history(n_nebulas, history)
+    for site in nebulas:
+        minis, owners = site.replica.live_nodes()
+        skeleton, got_owners, deleted, groups = site._collect_catch_up({})
+        assert [id(m) for m in skeleton] == [id(m) for m in minis]
+        assert [id(o) for o in got_owners] == [id(o) for o in owners]
+        assert deleted == [] and groups == {}
+        # The document-order walk, made to run by a black entry for a node
+        # outside the tree, collects the same.
+        walked = site._collect_catch_up({MiniNode(b"Z", b"z"): (None, None)})
+        assert [id(m) for m in walked[0]] == [id(m) for m in minis]
+        assert [id(o) for o in walked[1]] == [id(o) for o in owners]
+        assert walked[2:] == ([], {})
+
+
+def _committed_nebula(seed):
+    """A core site and a nebula site that edited together, exchanged every
+    op and saw the core flatten alone: everything the nebula holds is cyan."""
+    rng = Random(seed)
+    core, nebula = Site(b"A", Role.CORE), Site(b"N", Role.NEBULA)
+    for _ in range(40):
+        site = rng.choice((core, nebula))
+        live = site.replica.live_count
+        if live and rng.random() < 0.3:
+            op = site.submit_local(OpKind.DELETE, position=rng.randrange(live))
+        else:
+            atom = b"%s%d" % (site.id, site.next_seq)
+            op = site.submit_local(OpKind.INSERT, position=rng.randint(0, live), atom=atom)
+        site.outbox.clear()
+        (nebula if site is core else core).deliver(op)
+    ann = initiate_flatten(core, [core]).announcement
+    nebula.receive_decision(ann)
+    return core, nebula, ann
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_a_committed_nebula_catches_up_to_the_core_replica(monkeypatch, seed):
+    core, nebula, ann = _committed_nebula(seed)
+    assert nebula.mark_colors(ann.committed_ids) == {}
+    walks = []
+    iter_nodes = Treedoc.iter_nodes
+    monkeypatch.setattr(Treedoc, "iter_nodes", lambda doc: walks.append(doc) or iter_nodes(doc))
+    assert nebula.catch_up([], ann.new_epoch) == []
+    assert walks == []
+    assert nebula.replica.state_digest() == core.replica.state_digest()
+    assert nebula.replica.text() == core.replica.text()
+
+
+def test_one_black_op_still_takes_the_document_order_walk(monkeypatch):
+    core, nebula, ann = _committed_nebula(0)
+    # An edit the core never saw, made before the nebula enters the new epoch.
+    nebula.submit_local(OpKind.INSERT, position=0, atom=b"late")
+    nebula.outbox.clear()
+    walks = []
+    iter_nodes = Treedoc.iter_nodes
+    monkeypatch.setattr(Treedoc, "iter_nodes", lambda doc: walks.append(doc) or iter_nodes(doc))
+    emitted = nebula.catch_up([], ann.new_epoch)
+    assert len(walks) == 1
+    assert [(op.kind, op.atom) for op in emitted] == [(OpKind.INSERT, b"late")]
+    assert nebula.replica.text() == "late" + core.replica.text()

@@ -6,6 +6,7 @@ import pytest
 from treedoc import (
     CrashWindow,
     DeliverResult,
+    IntentViolation,
     NonConvergenceError,
     OpKind,
     Operation,
@@ -298,6 +299,7 @@ def test_flatten_mid_stream_reaches_the_catch_up_batch_path():
             net._push(tick, "flatten", 0)
             result = net.run()
             assert result.converged, (seed, tick, result.diff)
+            assert not result.intent, (seed, tick, result.intent)
             kinds = [kind for _, _, kind, _ in result.event_log]
             emits = kinds.count("catchup_emit")
             assert kinds.count("recv_catchup") >= 2 * emits
@@ -335,6 +337,7 @@ def test_catch_up_under_faults_keeps_every_edit(monkeypatch):
                 result = net.run()
                 case = (seed, crashes, tick)
                 assert result.converged, (case, result.diff)
+                assert not result.intent, (case, result.intent)
                 # Converged: every replica holds the first one's atoms.
                 atoms = result.sites[0].replica.atoms()
                 assert sorted(atoms) == sorted(inserted - deleted), case
@@ -401,6 +404,7 @@ def test_exports_match_the_golden_digests(tmp_path, name):
     if flatten_at is not None:
         net._push(flatten_at, "flatten", 0)
     result = net.run()
+    assert (result.intent == "") == (config.fault_drop_message is None)
     kinds = {kind for _, _, kind, _ in result.event_log}
     assert ("fault_drop" in kinds) == (config.fault_drop_message is not None)
     assert ("catchup_emit" in kinds) == (flatten_at is not None)
@@ -481,3 +485,39 @@ def test_each_replica_receives_each_op_once_without_duplication(seed):
     assert result.converged
     receipts = sum(result.event_log.count(f"recv_{r.value}") for r in DeliverResult)
     assert receipts == config.op_count * (4 + 3 - 1)
+
+
+# -- the intent oracle --------------------------------------------------------
+
+
+def test_intent_oracle_catches_an_edit_garbled_at_every_site(monkeypatch):
+    # The origin applies and sends another atom than the one it generated,
+    # so every replica agrees on the wrong text: convergence alone passes.
+    config = SimConfig(seed=7, core_count=2, nebula_count=1, op_count=60,
+                       flatten_interval=25, duplicate_prob=0.1)
+    assert sim.run(config, strict=True).intent == ""
+    submit = Site.submit_local
+
+    def garbling(site, kind, *, position=None, atom=None):
+        if atom == b"[c00#3]":
+            atom = b"[garbled]"
+        return submit(site, kind, position=position, atom=atom)
+
+    monkeypatch.setattr(Site, "submit_local", garbling)
+    result = sim.run(config)
+    assert result.converged
+    assert "[c00#3]" in result.intent and result.intent.startswith("b'c00'")
+    with pytest.raises(IntentViolation, match=r"\[c00#3\]"):
+        sim.run(config, strict=True)
+
+
+def test_intent_oracle_names_missing_and_extra_atoms():
+    net = sim.Network(SimConfig(seed=3, core_count=2, op_count=40, delete_ratio=0.0))
+    assert net.run().intent == ""
+    intended = net._intended
+    live = next(iter(intended))
+    intended[live] = False
+    intended[b"never-made"] = True
+    report = net._check_intent(net.sites)
+    assert report.startswith("b'c00' misses [b'never-made']")
+    assert report.endswith(f"holds [{live!r}] beyond")

@@ -1,9 +1,15 @@
+import copy
+import pickle
 from random import Random
 
 import pytest
 from hypothesis import example, given, strategies as st
 
-from treedoc import LEFT, RIGHT, TID, MalformedTID, PathElement, Treedoc, compare_tid
+from treedoc import (
+    LEFT, RIGHT, TID, DeliverResult, MalformedTID, OpKind, PathElement, Role, Site,
+    Treedoc, compare_tid, sim,
+)
+from treedoc import tid as tid_module
 from treedoc.flatten import balanced_tid, flatten_local
 from treedoc.tid import ELEMENTS, ELEMENTS_CAP, MAX_DISAMBIGUATOR, _encode_varint
 
@@ -362,3 +368,90 @@ def test_the_table_stays_bounded_and_survives_emptying():
     _same_value(TID.decode(second.encode()), second)
     _same_value(doc.alloc_tid_at_position(2, b"other"), doc.insert_at(2, b"other", b"c"))
     assert doc.atoms() == [b"a", b"b", b"c"]
+
+
+# -- copying and the cached wire size -----------------------------------------
+
+
+@given(TIDS)
+def test_copy_deepcopy_and_pickle_round_trip(t):
+    t.encoded_size()
+    t._sort_key()
+    assert copy.copy(t) is t and copy.deepcopy(t) is t
+    # Rebuilt through the validating constructor, without either cache.
+    assert t.__reduce__() == (TID, (t.root_disambiguator, t.path))
+    loaded = pickle.loads(pickle.dumps(t))
+    assert loaded._size is None and loaded._key is None
+    _same_value(loaded, t)
+    assert loaded.encoded_size() == len(t.encode())
+
+
+def test_a_nebula_site_holding_a_tid_deep_copies():
+    core, nebula = Site(b"A", Role.CORE), Site(b"N", Role.NEBULA)
+    op = core.submit_local(OpKind.INSERT, position=0, atom=b"x")
+    nebula.deliver(op)
+    nebula.submit_local(OpKind.INSERT, position=1, atom=b"y")
+    clone = copy.deepcopy(nebula)
+    assert clone.replica is not nebula.replica
+    assert clone.replica.state_digest() == nebula.replica.state_digest()
+    assert clone.applied_inserts == nebula.applied_inserts
+    clone.submit_local(OpKind.DELETE, position=0)
+    assert (clone.replica.text(), nebula.replica.text()) == ("y", "xy")
+
+
+def _sized_twice(t: TID) -> None:
+    assert t.encoded_size() == len(t.encode())
+    assert t.encoded_size() == len(t.encode())
+
+
+@given(TIDS, st.integers(0, 1), DIS)
+def test_encoded_size_is_exact_on_first_and_second_call(t, direction, dis):
+    for made in (TID.decode(t.encode()), _copied(t), t):
+        _sized_twice(made)
+    if t.root_disambiguator is not None:
+        _sized_twice(t.child(direction, dis))
+        _sized_twice(t.child(direction, dis).parent())
+
+
+@given(DOCS, st.integers(0, 2**16), st.sampled_from([b"A", b"B", b"new-site"]))
+def test_allocated_walked_and_balanced_tids_size_exactly(doc, pick, site):
+    for t, _ in doc.walk():
+        _sized_twice(t)
+    for i in range(doc.live_count):
+        _sized_twice(doc.tid_of_live_index(i))
+    position = pick % (doc.live_count + 1)
+    _sized_twice(doc.alloc_tid_at_position(position, site))
+    _sized_twice(doc.insert_at(position, site, b"x"))
+    minis = flatten_local(doc).new_doc.live_nodes()[0]
+    for i in range(len(minis)):
+        _sized_twice(balanced_tid(minis, i))
+
+
+def test_one_insert_is_sized_once_across_its_replicas(monkeypatch):
+    origin = Site(b"origin", Role.CORE)
+    replicas = [Site(b"r%d" % i, Role.CORE) for i in range(6)]
+    for position in (0, 1, 1, 2):
+        op = origin.submit_local(OpKind.INSERT, position=position, atom=b"a")
+        for replica in replicas:
+            replica.deliver(op)
+    calls = []
+    cost = tid_module.selector_cost
+    monkeypatch.setattr(tid_module, "selector_cost", lambda d: calls.append(d) or cost(d))
+    op = origin.submit_local(OpKind.INSERT, position=2, atom=b"b")
+    for replica in replicas:
+        assert replica.deliver(op) is DeliverResult.APPLIED
+    assert op.tid.depth >= 2
+    # One TID's worth: its root entry and each path element, once.
+    assert len(calls) == op.tid.depth + 1
+    for site in (origin, *replicas):
+        assert site.replica.tid_bytes_total == origin.replica.tid_bytes_total
+
+
+def test_counters_hold_on_every_site_after_a_cluster_sized_run():
+    result = sim.run(sim.SimConfig(
+        seed=11, core_count=4, nebula_count=3, op_count=3000, duplicate_prob=0.1,
+        drop_retry_prob=0.05, flatten_interval=200,
+    ))
+    assert result.converged and not result.intent
+    for site in result.sites:
+        assert site.replica.counters_consistent(), site.id
