@@ -24,7 +24,7 @@ from .errors import (
     TreedocError,
     UnknownTID,
 )
-from .flatten import build_balanced, flatten_local
+from .flatten import build_balanced
 from .protocol import (
     AbortReason,
     DeliverResult,
@@ -84,7 +84,6 @@ __all__ = [
     "compare_tid",
     "diff_to_ops",
     "events_from_revisions",
-    "flatten_local",
     "ids_digest",
     "initiate_flatten",
     "read_trace",

@@ -12,7 +12,7 @@ from .protocol import DeliverResult, OpKind, Role, Site, initiate_flatten
 
 
 class _Parser(argparse.ArgumentParser):
-    # Bad flags exit 1, not argparse's default 2; 2 is reserved for divergence.
+    # Bad flags exit 1, not argparse's default 2: 2 marks a failed simulation.
     def error(self, message):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
@@ -117,11 +117,14 @@ def _cmd_simulate(args) -> int:
     outcomes = (f"{log.count(f'recv_{r.value}')} {r.value.replace('_', ' ')}"
                 for r in DeliverResult)
     print(f"deliveries: {', '.join(outcomes)}")
-    if result.converged:
-        print(f"converged; final digest {result.final_digest[:16]}")
-        return 0
-    print(f"DIVERGED: {result.diff}", file=sys.stderr)
-    return 2
+    if not result.converged:
+        print(f"DIVERGED: {result.diff}", file=sys.stderr)
+        return 2
+    if result.intent:
+        print(f"INTENT: {result.intent}", file=sys.stderr)
+        return 2
+    print(f"converged; final digest {result.final_digest[:16]}")
+    return 0
 
 
 def _cmd_bench(args) -> int:
@@ -185,7 +188,7 @@ def _cmd_demo_catchup() -> int:
     print("\nafter the core replays the batch:")
     print(f"  core text   {core.replica.text()!r}")
     print(f"  nebula text {nebula.replica.text()!r}")
-    match = core.replica.structurally_equal(nebula.replica)
+    match = core.replica.state_digest() == nebula.replica.state_digest()
     print(f"  replicas structurally equal: {match}")
     return 0 if match else 1
 

@@ -27,9 +27,9 @@ nodes deep) are a normal workload here and would blow the recursion limit.
 Three passes cover the whole tree:
 
 * ``iter_nodes``, document (infix, i.e. TID) order, builds a TID only on
-  request (``path_tid``). ``walk``, ``pretty``, ``state_digest``,
-  ``flatten_local``, the simulator's convergence check and catch-up's
-  collect step (``protocol``) with something black read it.
+  request (``path_tid``). ``walk``, ``pretty``, ``state_digest``, the
+  simulator's convergence check and catch-up's collect step (``protocol``)
+  with something black read it.
 * ``live_nodes``, the live nodes only, serves flatten's commit path, an
   all-cyan catch-up's collect and ``atoms``/``text``, with no bookkeeping.
 * ``_count``, a pre-order recount, serves ``stats``. ``recompute_counters``
@@ -89,12 +89,6 @@ class MiniNode:
         self.left: Optional[MajorNode] = None
         self.right: Optional[MajorNode] = None
         self.live_size = 1
-
-    def set_child(self, direction: int, major: "MajorNode") -> None:
-        if direction:
-            self.right = major
-        else:
-            self.left = major
 
     def __repr__(self):
         flag = "+tomb" if self.tombstone else ""
@@ -207,7 +201,11 @@ class Treedoc:
         if major is None:
             # A fresh child slot: an exact-size list, since flatten may reuse
             # this major node for the lifetime of the document.
-            parent.set_child(direction, MajorNode([MiniNode(dis, atom)]))
+            major = MajorNode([MiniNode(dis, atom)])
+            if direction:
+                parent.right = major
+            else:
+                parent.left = major
         else:
             major.add(MiniNode(dis, atom))
         self._add_live(chain, tid.path, 1)
@@ -534,11 +532,7 @@ class Treedoc:
             and abs(s.mean_tid_encoded_bytes - self.mean_tid_encoded_bytes()) < 1e-9
         )
 
-    # -- equality and digests ----------------------------------------------
-
-    def structurally_equal(self, other: "Treedoc") -> bool:
-        """Same epoch and identical tree values."""
-        return self.epoch == other.epoch and self.state_digest() == other.state_digest()
+    # -- digests ----------------------------------------------------------
 
     def state_digest(self) -> str:
         """Digest of the epoch and the whole tree: every node's

@@ -2,21 +2,21 @@
 
 Flattening collects the live atoms in document order, rebuilds them as a
 deterministic balanced tree (midpoint rule, the element at index
-``(lo + hi) // 2`` becomes each subtree root), bumps the epoch, and reports
-the old-TID to new-TID renaming for the surviving atoms. Tombstones are
-dropped: an old-epoch delete aimed at one of them translates to a no-op.
+``(lo + hi) // 2`` becomes each subtree root) and bumps the epoch.
+Tombstones are dropped: an old-epoch delete aimed at one of them translates
+to a no-op. The renaming of the surviving atoms needs no table: the new TID
+of the ``i``-th live atom is ``balanced_tid(live, i)``, a function of ``i``
+and the disambiguators alone.
 
-There is one builder, ``build_balanced``, and two ways in:
-
-* ``flatten_for_commit`` (the commit path) consumes its replica: one walk
-  gathers the live mini-nodes, and the builder relinks those same nodes,
-  reusing each one's major node when it holds nothing else. The old tree
-  is unusable afterwards. A nebula site's catch-up (``protocol``) relinks
-  its replica's own cyan skeleton the same way, major nodes included, and
-  finds the new TID of any skeleton entry with ``balanced_tid``, which
-  walks no tree; its black subtrees then go back in through ``insert``.
-* ``flatten_local`` and ``build_balanced`` over ``(atom, disambiguator)``
-  entries leave their input untouched: they relink fresh mini-nodes.
+There is one builder, ``build_balanced``, and it takes mini-nodes, which it
+relinks in place. ``flatten_for_commit`` (the commit path) consumes its
+replica: one walk gathers the live mini-nodes, and the builder relinks
+those same nodes, reusing each one's major node when it holds nothing else.
+The old tree is unusable afterwards. A nebula site's catch-up
+(``protocol``) relinks its replica's own cyan skeleton the same way, major
+nodes included, and finds the new TID of any skeleton entry with
+``balanced_tid``, which walks no tree; its black subtrees then go back in
+through ``insert``.
 
 The commit digest (``flat_digest``) is verified: the commit round compares
 every member's digest with the coordinator's, and a nebula site's catch-up
@@ -25,38 +25,24 @@ compares its rebuilt cyan skeleton with the announced digest.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import Optional, Sequence
 
-from .core import MajorNode, MiniNode, Treedoc, flat_digest, path_tid
+from .core import MajorNode, MiniNode, Treedoc, flat_digest
 from .errors import IndexOutOfRange
 from .tid import ELEMENTS, LEFT, RIGHT, Disambiguator, TID, header_cost, selector_cost
 
-Entry = tuple[bytes, Disambiguator]
-
-
-class FlattenResult(NamedTuple):
-    new_doc: Treedoc
-    mapping: dict[TID, TID]  # old live TID -> new TID, order-preserving
-
 
 def build_balanced(
-    entries: Union[Sequence[Entry], list[MiniNode]],
-    owners: Optional[list[Optional[MajorNode]]] = None,
+    minis: list[MiniNode], owners: Optional[list[Optional[MajorNode]]] = None
 ) -> Treedoc:
-    """Balanced tree over ``entries``, in infix order; depth floor(log2(n)).
+    """Balanced tree over ``minis``, in infix order; depth floor(log2(n)).
 
-    ``entries`` are either (atom, disambiguator) pairs, which get fresh
-    mini-nodes, or mini-nodes, which are relinked in place: their children
-    and live sizes are overwritten. ``owners[i]``, when given and not None,
-    is a major node holding only ``entries[i]``; it is reused. Every other
-    mini-node gets a major node of its own. Each node keeps its original
-    disambiguator, so provenance and uniqueness arguments survive the
-    rebuild.
+    The mini-nodes are relinked in place: their children and live sizes are
+    overwritten. ``owners[i]``, when given and not None, is a major node
+    holding only ``minis[i]``; it is reused. Every other mini-node gets a
+    major node of its own. Each node keeps its original disambiguator, so
+    provenance and uniqueness arguments survive the rebuild.
     """
-    if entries and isinstance(entries[0], MiniNode):
-        minis = entries
-    else:
-        minis = [MiniNode(dis, atom) for atom, dis in entries]
     n = len(minis)
     doc = Treedoc()
     doc.live_count = n
@@ -133,22 +119,8 @@ def balanced_tid(minis: Sequence[MiniNode], index: int) -> TID:
     return TID._make(root, tuple(path))
 
 
-def flatten_local(doc: Treedoc) -> FlattenResult:
-    """Flatten one replica and report the live-TID renaming.
-
-    ``doc`` is left as it was. Deterministic: structurally equal replicas
-    produce structurally equal results, which is what lets every core site
-    flatten independently after a commit without exchanging state.
-    """
-    live = [(path_tid(p), m) for m, _, _, p in doc.iter_nodes() if not m.tombstone]
-    new_doc = build_balanced([(m.atom, m.disambiguator) for _, m in live])
-    new_doc.epoch = doc.epoch + 1
-    new_tids = (tid for tid, _ in new_doc.walk())
-    return FlattenResult(new_doc, {old: new for (old, _), new in zip(live, new_tids)})
-
-
 def flatten_for_commit(doc: Treedoc) -> tuple[Treedoc, str]:
-    """The flatten_local rebuild without the mapping, plus its digest.
+    """Flatten ``doc`` into the next epoch, and the new tree's digest.
 
     Consumes ``doc``: its live nodes are relinked into the result. The
     digest is ``state_digest`` without the shape buffer: the balanced shape

@@ -418,47 +418,36 @@ class Network:
 
         sites, held, heap, pop = self.sites, self._held, self.heap, heapq.heappop
         last_tick = 0
-        while True:
-            while heap:
-                now, _, kind, payload = pop(heap)
-                last_tick = now
-                if kind == "op":  # most events are op deliveries
-                    dst, op, digest = payload
-                    if sites[dst].crashed:
-                        held[dst].append((kind, payload))  # until dst recovers
-                        continue
-                    self._log(now, dst, _RECV_KIND[sites[dst].deliver(op)], digest)
-                    self._after_delivery(dst, now, op, digest)
-                    if dst:
-                        continue  # it changed site dst; only site 0 is sampled
-                elif kind == "gen":
-                    self._handle_gen(now)
-                elif kind == "flatten":
-                    self._handle_flatten(payload, now)
-                elif kind == "crash_down":
-                    self._handle_crash(payload, False, now)
-                elif kind == "crash_up":
-                    self._handle_crash(payload, True, now)
-                elif sites[payload[0]].crashed:
-                    held[payload[0]].append((kind, payload))
-                elif kind == "decision":
-                    self._recv_decision(*payload, now)
-                elif kind == "catchup":
-                    self._recv_catchup(*payload, now)
-                self._maybe_sample(now)
-            # Safety sweep: any catch-up that became possible right at the end.
-            extra = False
-            for nb in self.nebula_sites:
-                emissions = nb.maybe_catch_up()
-                nb.take_delivered()
-                if emissions:
-                    batch = CatchUpBatch(nb.id, tuple(emissions))
-                    digest = _digest(_text("catchup", batch))
-                    for core in self._cores:
-                        self._send(core, "catchup", batch, digest, last_tick)
-                    extra = True
-            if not extra:
-                break
+        # A nebula site can complete a catch-up only on a delivery, and every
+        # delivery ends in _after_delivery, which makes it at once: nothing
+        # is left to catch up when the heap runs dry.
+        while heap:
+            now, _, kind, payload = pop(heap)
+            last_tick = now
+            if kind == "op":  # most events are op deliveries
+                dst, op, digest = payload
+                if sites[dst].crashed:
+                    held[dst].append((kind, payload))  # until dst recovers
+                    continue
+                self._log(now, dst, _RECV_KIND[sites[dst].deliver(op)], digest)
+                self._after_delivery(dst, now, op, digest)
+                if dst:
+                    continue  # it changed site dst; only site 0 is sampled
+            elif kind == "gen":
+                self._handle_gen(now)
+            elif kind == "flatten":
+                self._handle_flatten(payload, now)
+            elif kind == "crash_down":
+                self._handle_crash(payload, False, now)
+            elif kind == "crash_up":
+                self._handle_crash(payload, True, now)
+            elif sites[payload[0]].crashed:
+                held[payload[0]].append((kind, payload))
+            elif kind == "decision":
+                self._recv_decision(*payload, now)
+            elif kind == "catchup":
+                self._recv_catchup(*payload, now)
+            self._maybe_sample(now)
 
         converged, diff, final = check_convergence(self.sites)
         outcome = "converged" if converged else "diverged"

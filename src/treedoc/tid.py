@@ -28,7 +28,7 @@ pair and one disambiguator object per site.
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from .errors import MalformedTID
 
@@ -180,19 +180,6 @@ class TID:
         _check_disambiguator(dis)
         elem = ELEMENTS[dis][direction]
         return TID._make(self.root_disambiguator, self.path + (elem,))
-
-    def parent(self) -> Optional["TID"]:
-        """TID of the mini-node this one hangs off, or None at root level."""
-        if not self.path:
-            return None
-        return TID._make(self.root_disambiguator, self.path[:-1])
-
-    def ancestors(self) -> Iterator["TID"]:
-        """Proper ancestors, outermost first."""
-        if self.root_disambiguator is None:
-            return
-        for i in range(len(self.path)):
-            yield TID._make(self.root_disambiguator, self.path[:i])
 
     def __repr__(self):
         return f"TID({self.pretty()})"

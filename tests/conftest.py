@@ -3,6 +3,7 @@ from random import Random
 import pytest
 
 from treedoc import LEFT, RIGHT, TID, PathElement, Treedoc
+from treedoc.core import MajorNode, MiniNode
 
 A = b"A"
 
@@ -84,3 +85,28 @@ def deep_spine_doc(n: int) -> Treedoc:
         cur = doc.alloc_tid_after(cur, b"A")
         doc.insert(cur, b"%d" % i)
     return doc
+
+
+def clone(doc: Treedoc) -> Treedoc:
+    """A copy of ``doc``'s tree and counters, node for node, built without
+    recursion (``copy.deepcopy`` recurses once per tree level)."""
+    new = Treedoc(doc.epoch)
+    new.live_count = doc.live_count
+    new.tombstone_count = doc.tombstone_count
+    new.tid_bytes_total = doc.tid_bytes_total
+    stack = [(doc.root, new.root)]
+    while stack:
+        old, copy = stack.pop()
+        copy.live_size = old.live_size
+        for mini in old.minis:
+            twin = MiniNode(mini.disambiguator, mini.atom)
+            twin.tombstone = mini.tombstone
+            twin.live_size = mini.live_size
+            if mini.left is not None:
+                twin.left = MajorNode()
+                stack.append((mini.left, twin.left))
+            if mini.right is not None:
+                twin.right = MajorNode()
+                stack.append((mini.right, twin.right))
+            copy.minis.append(twin)
+    return new

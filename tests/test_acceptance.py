@@ -17,11 +17,11 @@ from treedoc import (
     SimConfig,
     Site,
     TID,
-    flatten_local,
     initiate_flatten,
 )
 from treedoc import sim as sim_mod
 from treedoc.bench import run_bench
+from treedoc.flatten import flatten_for_commit
 from treedoc.trace import Granularity, events_from_revisions
 
 from conftest import random_doc
@@ -149,8 +149,7 @@ def test_criterion_4_flatten_compaction():
     for t in tids[1::2]:
         doc.delete(t)
     before = doc.stats()
-    result = flatten_local(doc)
-    after = result.new_doc.stats()
+    after = flatten_for_commit(doc)[0].stats()
     ratio = before.mean_tid_encoded_bytes / after.mean_tid_encoded_bytes
     ok = (
         before.tombstone_count == 500

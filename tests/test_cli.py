@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from treedoc import sim
+from treedoc import Site, sim
 from treedoc.cli import main
 
 
@@ -74,6 +74,28 @@ def test_simulate_injected_fault_exits_two(tmp_path, capsys):
     )
     assert code == 2
     assert "DIVERGED" in capsys.readouterr().err
+
+
+def test_simulate_intent_failure_exits_two(tmp_path, capsys, monkeypatch):
+    # The garbling fault of test_intent_oracle_catches_an_edit_garbled_at_every_site:
+    # every replica agrees on the wrong text, so the run converges.
+    flags = ["--seed", "7", "--core", "2", "--nebula", "1", "--ops", "60",
+             "--flatten-every", "25", "--duplicate-prob", "0.1",
+             "--drop-retry-prob", "0", "--out", str(tmp_path / "m.csv")]
+    assert main(["simulate", *flags]) == 0
+    submit = Site.submit_local
+
+    def garbling(site, kind, *, position=None, atom=None):
+        if atom == b"[c00#3]":
+            atom = b"[garbled]"
+        return submit(site, kind, position=position, atom=atom)
+
+    monkeypatch.setattr(Site, "submit_local", garbling)
+    capsys.readouterr()
+    assert main(["simulate", *flags]) == 2
+    out, err = capsys.readouterr()
+    assert "converged" not in out
+    assert err.startswith("INTENT: b'c00' misses [b'[c00#3]']")
 
 
 def test_replay_empty_trace_writes_header_only(tmp_path):

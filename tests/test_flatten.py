@@ -2,13 +2,15 @@ import copy
 import math
 from random import Random
 
-from treedoc import TID, Treedoc, build_balanced, flatten_local
+from treedoc import TID, Treedoc, build_balanced
+from treedoc.core import MiniNode
+from treedoc.flatten import balanced_tid, flatten_for_commit
 
 from conftest import random_doc, tid
 
 
-def _entries(text: str, dis=b"A"):
-    return [(ch.encode(), dis) for ch in text]
+def _minis(text: str, dis=b"A"):
+    return [MiniNode(dis, ch.encode()) for ch in text]
 
 
 def test_build_balanced_empty():
@@ -18,7 +20,7 @@ def test_build_balanced_empty():
 
 
 def test_build_balanced_abcdef_shape():
-    doc = build_balanced(_entries("abcdef"))
+    doc = build_balanced(_minis("abcdef"))
     assert doc.text() == "abcdef"
     root_mini = doc.root.minis[0]
     assert root_mini.atom == b"d"  # midpoint at index n // 2
@@ -32,7 +34,7 @@ def test_build_balanced_properties():
     rng = Random(5)
     for n in range(1, 65):
         text = "".join(chr(97 + rng.randrange(26)) for _ in range(n))
-        doc = build_balanced(_entries(text))
+        doc = build_balanced(_minis(text))
         assert doc.text() == text
         levels = doc.stats().max_depth + 1
         assert levels <= math.ceil(math.log2(n + 1))
@@ -41,7 +43,7 @@ def test_build_balanced_properties():
 
 def test_build_balanced_keeps_disambiguators():
     entries = [(b"x", b"A"), (b"y", b"B"), (b"z", b"C")]
-    doc = build_balanced(entries)
+    doc = build_balanced([MiniNode(dis, atom) for atom, dis in entries])
     got = [(m.atom, m.disambiguator) for m, _, _, _ in doc.iter_nodes()]
     assert got == entries
 
@@ -49,22 +51,23 @@ def test_build_balanced_keeps_disambiguators():
 def test_flatten_drops_tombstones(abcdef_doc):
     abcdef_doc.delete(tid((0,)))  # b
     abcdef_doc.delete(tid((1, 0)))  # d
-    result = flatten_local(abcdef_doc)
-    assert result.new_doc.text() == "acef"
-    stats = result.new_doc.stats()
+    epoch = abcdef_doc.epoch
+    new_doc, _ = flatten_for_commit(abcdef_doc)
+    assert new_doc.text() == "acef"
+    stats = new_doc.stats()
     assert stats.live_count == 4
     assert stats.tombstone_count == 0
-    assert result.new_doc.epoch == abcdef_doc.epoch + 1
+    assert new_doc.epoch == epoch + 1
 
 
 def test_flatten_single_atom_doc():
     doc = Treedoc()
     doc.insert(TID(b"A"), b"x")
-    result = flatten_local(doc)
-    assert result.new_doc.epoch == 1
-    assert result.new_doc.text() == "x"
+    new_doc, _ = flatten_for_commit(doc)
+    assert new_doc.epoch == 1
+    assert new_doc.text() == "x"
     # same shape as before, one level up in epoch
-    assert [m.atom for m, _, _, _ in result.new_doc.iter_nodes()] == [b"x"]
+    assert [m.atom for m, _, _, _ in new_doc.iter_nodes()] == [b"x"]
 
 
 def test_flatten_deep_spine_compacts():
@@ -74,22 +77,25 @@ def test_flatten_deep_spine_compacts():
     for _ in range(999):
         cur = doc.alloc_tid_after(cur, b"A")
         doc.insert(cur, b"x")
-    result = flatten_local(doc)
-    assert result.new_doc.stats().max_depth <= 10
-    assert result.new_doc.live_count == 1000
+    new_doc, _ = flatten_for_commit(doc)
+    assert new_doc.stats().max_depth <= 10
+    assert new_doc.live_count == 1000
 
 
 def test_mapping_is_an_order_preserving_bijection(abcdef_doc):
-    abcdef_doc.delete(tid((0, 0)))  # drop "a"; mapping covers live atoms only
+    # The renaming takes the i-th old live TID to balanced_tid(live, i).
+    abcdef_doc.delete(tid((0, 0)))  # drop "a"; the renaming covers live atoms only
     old_live = [t for t, m in abcdef_doc.walk() if not m.tombstone]
-    result = flatten_local(abcdef_doc)
-    mapping = result.mapping
-    assert sorted(mapping) == sorted(old_live)
-    new_live = [t for t, _ in result.new_doc.walk()]
-    assert sorted(mapping.values()) == sorted(new_live)
-    assert len(set(mapping.values())) == len(mapping)
-    image_in_old_order = [mapping[t] for t in old_live]
-    assert image_in_old_order == sorted(image_in_old_order)
+    twin = copy.deepcopy(abcdef_doc)
+    live = twin.live_nodes()[0]
+    new_doc, _ = flatten_for_commit(twin)
+    new_live = [balanced_tid(live, i) for i in range(len(live))]
+    assert len(old_live) == len(new_live) == 5
+    for old, new in zip(old_live, new_live):
+        assert new_doc.find(new).atom == abcdef_doc.find(old).atom
+    assert old_live == sorted(old_live)
+    assert new_live == sorted(new_live) == [t for t, _ in new_doc.walk()]
+    assert len(set(new_live)) == len(new_live)
 
 
 def test_flatten_preserves_content():
@@ -97,20 +103,20 @@ def test_flatten_preserves_content():
     for _ in range(20):
         doc = random_doc(rng, rng.randint(0, 120), delete_ratio=0.4)
         text = doc.text()
-        result = flatten_local(doc)
-        assert result.new_doc.text() == text
-        assert result.new_doc.counters_consistent()
+        new_doc, _ = flatten_for_commit(doc)
+        assert new_doc.text() == text
+        assert new_doc.counters_consistent()
 
 
 def test_flatten_is_deterministic():
     rng = Random(19)
     doc = random_doc(rng, 70, delete_ratio=0.3)
     twin = copy.deepcopy(doc)
-    a = flatten_local(doc)
-    b = flatten_local(twin)
-    assert a.new_doc.structurally_equal(b.new_doc)
-    assert a.new_doc.state_digest() == b.new_doc.state_digest()
-    assert a.mapping == b.mapping
+    a, a_digest = flatten_for_commit(doc)
+    b, b_digest = flatten_for_commit(twin)
+    assert a_digest == b_digest
+    assert a.state_digest() == b.state_digest()
+    assert [t for t, _ in a.walk()] == [t for t, _ in b.walk()]
 
 
 def test_flatten_compacts_tid_encoding():
@@ -125,9 +131,6 @@ def test_flatten_compacts_tid_encoding():
         unbalanced = stats.max_depth + 1 > math.ceil(math.log2(n + 1)) if n else False
         if stats.tombstone_count == 0 and not unbalanced:
             continue
-        result = flatten_local(doc)
-        assert (
-            result.new_doc.stats().mean_tid_encoded_bytes
-            <= stats.mean_tid_encoded_bytes
-        )
+        new_doc, _ = flatten_for_commit(doc)
+        assert new_doc.stats().mean_tid_encoded_bytes <= stats.mean_tid_encoded_bytes
         checked += 1

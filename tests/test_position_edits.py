@@ -11,44 +11,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from treedoc import (
-    LEFT,
-    RIGHT,
     IndexOutOfRange,
     MalformedTID,
     OpKind,
     Role,
     Site,
     Treedoc,
-    flatten_local,
     initiate_flatten,
 )
-from treedoc.core import MajorNode, MiniNode
+from treedoc.flatten import flatten_for_commit
 
-from conftest import MULTISITE_SITES, build_abcdef, multisite_doc, random_doc
-
-
-def clone(doc: Treedoc) -> Treedoc:
-    """A copy of ``doc``'s tree and counters, node for node, built without
-    recursion."""
-    new = Treedoc(doc.epoch)
-    new.live_count = doc.live_count
-    new.tombstone_count = doc.tombstone_count
-    new.tid_bytes_total = doc.tid_bytes_total
-    stack = [(doc.root, new.root)]
-    while stack:
-        old, copy = stack.pop()
-        copy.live_size = old.live_size
-        for mini in old.minis:
-            twin = MiniNode(mini.disambiguator, mini.atom)
-            twin.tombstone = mini.tombstone
-            twin.live_size = mini.live_size
-            for side in (LEFT, RIGHT):
-                child = mini.right if side else mini.left
-                if child is not None:
-                    twin.set_child(side, MajorNode())
-                    stack.append((child, twin.right if side else twin.left))
-            copy.minis.append(twin)
-    return new
+from conftest import MULTISITE_SITES, build_abcdef, clone, multisite_doc, random_doc
 
 
 def live_sizes(doc: Treedoc) -> list[int]:
@@ -119,7 +92,7 @@ def flattened_then_remote(rng: Random, n_ops: int) -> Treedoc:
 DOCS = {
     "single-site": lambda rng, n: random_doc(rng, n),
     "multisite": multisite_doc,
-    "flattened": lambda rng, n: flatten_local(random_doc(rng, n)).new_doc,
+    "flattened": lambda rng, n: flatten_for_commit(random_doc(rng, n))[0],
     "remote": remote_doc,
     "flattened-remote": flattened_then_remote,
 }

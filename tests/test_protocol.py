@@ -142,7 +142,7 @@ def _chain_ops():
 
 def test_deliver_buffers_until_causally_ready():
     origin, first, second = _chain_ops()
-    assert second.tid.parent() == first.tid  # a real descendant
+    assert first.tid.child(*second.tid.path[-1]) == second.tid  # a real descendant
     site = Site(b"R", Role.CORE)
     assert site.deliver(second) is DeliverResult.BUFFERED
     assert site.replica.text() == ""
@@ -152,7 +152,7 @@ def test_deliver_buffers_until_causally_ready():
     in_order = Site(b"S", Role.CORE)
     in_order.deliver(first)
     in_order.deliver(second)
-    assert site.replica.structurally_equal(in_order.replica)
+    assert site.replica.state_digest() == in_order.replica.state_digest()
 
 
 def test_deliver_duplicate_reports_duplicate():
@@ -216,8 +216,8 @@ def test_any_delivery_order_converges():
             replica_a.deliver(op)
         for op in order_b:
             replica_b.deliver(op)
-        assert replica_a.replica.structurally_equal(origins[0].replica)
-        assert replica_a.replica.structurally_equal(replica_b.replica)
+        assert replica_a.replica.state_digest() == origins[0].replica.state_digest()
+        assert replica_a.replica.state_digest() == replica_b.replica.state_digest()
         assert not replica_a.pending and not replica_b.pending
 
 
@@ -243,7 +243,7 @@ def test_duplicate_tolerance_any_redelivery_count():
     rng.shuffle(scrambled)
     for op in scrambled:
         noisy.deliver(op)
-    assert noisy.replica.structurally_equal(baseline.replica)
+    assert noisy.replica.state_digest() == baseline.replica.state_digest()
     assert not noisy.pending
 
 
@@ -292,7 +292,7 @@ def test_flatten_commits_on_synchronized_idle_cores():
     for site in cores:
         assert site.replica.epoch == 1
         assert site.replica.tombstone_count == 0
-        assert site.replica.structurally_equal(cores[0].replica)
+        assert site.replica.state_digest() == cores[0].replica.state_digest()
 
 
 def test_update_wins_aborts_and_preserves_state():
@@ -364,7 +364,7 @@ def test_all_core_ops_color_cyan_and_emit_nothing():
     nebula.receive_decision(outcome.announcement)
     emissions = nebula.catch_up([], 1)
     assert emissions == []
-    assert nebula.replica.structurally_equal(core.replica)
+    assert nebula.replica.state_digest() == core.replica.state_digest()
 
 
 def test_core_insert_nebula_delete_is_cyan_node_black_tombstone():
@@ -429,7 +429,7 @@ def test_catch_up_walkthrough_insert_between_and_delete():
         assert core.deliver(op) is DeliverResult.APPLIED
     assert core.replica.text() == "ab"
     assert nebula.replica.text() == "ab"
-    assert core.replica.structurally_equal(nebula.replica)
+    assert core.replica.state_digest() == nebula.replica.state_digest()
     core_live = {t for t, m in core.replica.walk() if not m.tombstone}
     neb_live = {t for t, m in nebula.replica.walk() if not m.tombstone}
     assert core_live == neb_live
@@ -448,7 +448,7 @@ def test_catch_up_insert_lands_right_after_anchor():
     for op in emissions:
         core.deliver(op)
     assert core.replica.text() == "axz"
-    assert core.replica.structurally_equal(nebula.replica)
+    assert core.replica.state_digest() == nebula.replica.state_digest()
 
 
 def test_catch_up_translates_delete_of_core_atom():
@@ -463,7 +463,7 @@ def test_catch_up_translates_delete_of_core_atom():
     assert core.replica.text() == "c"  # core still has it live
     core.deliver(emissions[0])
     assert core.replica.text() == ""
-    assert core.replica.structurally_equal(nebula.replica)
+    assert core.replica.state_digest() == nebula.replica.state_digest()
 
 
 def test_catch_up_requires_all_committed_ops():
@@ -477,7 +477,7 @@ def test_catch_up_requires_all_committed_ops():
     # handing the missing ops to catch_up directly is enough
     emissions = nebula.catch_up([stranded], 1)
     assert emissions == []
-    assert nebula.replica.structurally_equal(core.replica)
+    assert nebula.replica.state_digest() == core.replica.state_digest()
 
 
 def test_catch_up_emits_ops_received_from_other_nebula_sites():
@@ -498,7 +498,7 @@ def test_catch_up_emits_ops_received_from_other_nebula_sites():
     for op in emissions:
         core.deliver(op)
     assert core.replica.text() == "ax"
-    assert core.replica.structurally_equal(n2.replica)
+    assert core.replica.state_digest() == n2.replica.state_digest()
 
 
 def test_multi_epoch_lag_chains_catch_ups():
@@ -524,7 +524,7 @@ def test_multi_epoch_lag_chains_catch_ups():
     for op in emissions:
         core.deliver(op)
     assert core.replica.text() == nebula.replica.text() == "abn"
-    assert core.replica.structurally_equal(nebula.replica)
+    assert core.replica.state_digest() == nebula.replica.state_digest()
 
 
 def test_catch_up_checks_epoch_and_announcement():
@@ -556,7 +556,7 @@ def test_failed_digest_check_leaves_the_replica_intact():
     emissions = nebula.catch_up([], 1)
     for op in emissions:
         core.deliver(op)
-    assert core.replica.structurally_equal(nebula.replica)
+    assert core.replica.state_digest() == nebula.replica.state_digest()
 
 
 def test_black_subtree_under_cyan_tombstone_reattaches_in_order():
@@ -577,14 +577,14 @@ def test_black_subtree_under_cyan_tombstone_reattaches_in_order():
     for op in emissions:
         core.deliver(op)
     assert core.replica.text() == "apqz"
-    assert core.replica.structurally_equal(nebula.replica)
+    assert core.replica.state_digest() == nebula.replica.state_digest()
     assert delete_k.identity in outcome.announcement.committed_ids
 
 
 def test_catch_up_matches_single_site_oracle():
     # The converged text must equal what a site that applied every old-epoch
     # operation and then flattened would read.
-    from treedoc import flatten_local
+    from treedoc.flatten import flatten_for_commit
 
     rng = Random(77)
     for _ in range(30):
@@ -617,7 +617,7 @@ def test_catch_up_matches_single_site_oracle():
                 )
         for op in nebula.outbox:
             oracle.deliver(op)
-        expected = flatten_local(oracle.replica).new_doc.text()
+        expected = flatten_for_commit(oracle.replica)[0].text()
 
         outcome = initiate_flatten(core, [core])
         nebula.receive_decision(outcome.announcement)
@@ -625,7 +625,7 @@ def test_catch_up_matches_single_site_oracle():
         for op in emissions:
             core.deliver(op)
         assert core.replica.text() == expected
-        assert core.replica.structurally_equal(nebula.replica)
+        assert core.replica.state_digest() == nebula.replica.state_digest()
 
 
 def test_catch_up_stress_interleaved_rounds():
@@ -633,7 +633,7 @@ def test_catch_up_stress_interleaved_rounds():
     # edits in between: black subtrees end up nested under cyan nodes that
     # later rounds tombstone, deletes race from both sides, and black
     # chains stack. The single-site oracle still has to predict the text.
-    from treedoc import flatten_local
+    from treedoc.flatten import flatten_for_commit
 
     rng = Random(1234)
     for _ in range(40):
@@ -666,7 +666,7 @@ def test_catch_up_stress_interleaved_rounds():
                         atom=bytes([65 + rng.randrange(26)]),
                     )
                 oracle.deliver(op)
-        expected = flatten_local(oracle.replica).new_doc.text()
+        expected = flatten_for_commit(oracle.replica)[0].text()
 
         outcome = initiate_flatten(core, [core])
         assert outcome.committed
@@ -676,7 +676,7 @@ def test_catch_up_stress_interleaved_rounds():
         for op in emissions:
             core.deliver(op)
         assert core.replica.text() == expected
-        assert core.replica.structurally_equal(nebula.replica)
+        assert core.replica.state_digest() == nebula.replica.state_digest()
         assert nebula.replica.counters_consistent()
 
 
@@ -723,7 +723,7 @@ def test_catch_up_batch_applies_in_order_without_buffering():
         for site in (core, other):
             results = [site.deliver(op) for op in emissions]
             assert DeliverResult.BUFFERED not in results
-            assert site.replica.structurally_equal(nebula.replica)
+            assert site.replica.state_digest() == nebula.replica.state_digest()
 
 
 def test_racing_deletes_count_as_cyan_and_stay_local():
@@ -742,7 +742,7 @@ def test_racing_deletes_count_as_cyan_and_stay_local():
     emissions = nebula.maybe_catch_up()
     assert emissions == []
     assert core.replica.text() == "" == nebula.replica.text()
-    assert nebula.replica.structurally_equal(core.replica)
+    assert nebula.replica.state_digest() == core.replica.state_digest()
 
 
 def test_emitted_tombstoned_black_nodes_round_trip():
@@ -760,7 +760,7 @@ def test_emitted_tombstoned_black_nodes_round_trip():
     for op in emissions:
         core.deliver(op)
     assert core.replica.text() == "a"
-    assert core.replica.structurally_equal(nebula.replica)
+    assert core.replica.state_digest() == nebula.replica.state_digest()
     assert core.replica.tombstone_count == 1
 
 
@@ -850,7 +850,7 @@ def test_epoch_change_drops_older_per_epoch_state():
     assert nebula.epoch_ids == set()
     nebula.receive_decision(first)  # a late duplicate
     assert nebula.announcements == {}
-    assert nebula.replica.structurally_equal(core.replica)
+    assert nebula.replica.state_digest() == core.replica.state_digest()
 
 
 @settings(max_examples=150, deadline=None)
@@ -905,7 +905,7 @@ def test_dropped_racing_delete_leaves_no_identity_state_behind():
             site.take_delivered()
         if round_no in (10, 40):
             totals[round_no] = [_container_total(s) for s in (core, nebula)]
-    assert core.replica.structurally_equal(nebula.replica)
+    assert core.replica.state_digest() == nebula.replica.state_digest()
     assert totals[10] == totals[40]
 
 
@@ -943,8 +943,8 @@ def test_re_emitted_delete_of_a_node_the_receiver_tombstoned_is_a_duplicate():
     for op in e1 + e2:
         core.deliver(op)
     assert core.replica.text() == n1.replica.text() == n2.replica.text() == "b"
-    assert core.replica.structurally_equal(n1.replica)
-    assert core.replica.structurally_equal(n2.replica)
+    assert core.replica.state_digest() == n1.replica.state_digest()
+    assert core.replica.state_digest() == n2.replica.state_digest()
 
 
 @settings(max_examples=60, deadline=None)

@@ -341,6 +341,11 @@ def test_catch_up_under_faults_keeps_every_edit(monkeypatch):
                 # Converged: every replica holds the first one's atoms.
                 atoms = result.sites[0].replica.atoms()
                 assert sorted(atoms) == sorted(inserted - deleted), case
+                # Quiescent: no nebula site is left a catch-up to make.
+                for nb in net.nebula_sites:
+                    epoch = nb.replica.epoch
+                    assert nb.maybe_catch_up() == [], case
+                    assert nb.replica.epoch == epoch, case
                 kinds = [kind for _, _, kind, _ in result.event_log]
                 emitting += "catchup_emit" in kinds
     assert emitting >= 15

@@ -10,7 +10,7 @@ from treedoc import (
     Treedoc, compare_tid, sim,
 )
 from treedoc import tid as tid_module
-from treedoc.flatten import balanced_tid, flatten_local
+from treedoc.flatten import balanced_tid, flatten_for_commit
 from treedoc.tid import ELEMENTS, ELEMENTS_CAP, MAX_DISAMBIGUATOR, _encode_varint
 
 from conftest import build_abcdef, random_doc, tid
@@ -167,9 +167,7 @@ def test_encoded_size_matches_encoding(t):
 def test_child_and_parent():
     t = tid((1, 0))
     assert t.child(LEFT, b"B").path[-1] == PathElement(LEFT, b"B")
-    assert t.parent() == tid((1,))
-    assert tid(()).parent() is None
-    assert list(tid((1, 0)).ancestors()) == [tid(()), tid((1,))]
+    assert t.child(LEFT, b"B").path[:-1] == t.path
 
 
 def test_decode_rejects_truncated_and_padded_input():
@@ -308,7 +306,6 @@ def test_equal_tids_hash_equal_however_made(t, direction, dis):
     _same_value(_copied(t), t)
     if t.root_disambiguator is not None:
         child = t.child(direction, dis)
-        _same_value(child.parent(), t)
         _same_value(TID.decode(child.encode()), _copied(child))
         _same_value(child, TID(t.root_disambiguator, (*t.path, (direction, dis))))
 
@@ -321,8 +318,6 @@ def test_allocated_walked_and_balanced_tids_hash_equal(doc, pick, site):
         _same_value(doc.tid_of_live_index(i), t)
     for t in walked:
         _same_value(TID.decode(t.encode()), t)
-        if t.path:
-            _same_value(t.parent(), walked[walked.index(t.parent())])
     position = pick % (doc.live_count + 1)
     allocated = doc.alloc_tid_at_position(position, site)
     inserted = doc.insert_at(position, site, b"x")
@@ -330,7 +325,7 @@ def test_allocated_walked_and_balanced_tids_hash_equal(doc, pick, site):
     _same_value(doc.tid_of_live_index(position), inserted)
     _same_value(TID.decode(inserted.encode()), _copied(inserted))
     assert inserted in {t for t, _ in doc.walk()}
-    flat = flatten_local(doc).new_doc
+    flat = flatten_for_commit(doc)[0]
     minis = flat.live_nodes()[0]
     for i, (t, _) in enumerate(flat.walk()):
         _same_value(balanced_tid(minis, i), t)
@@ -410,7 +405,6 @@ def test_encoded_size_is_exact_on_first_and_second_call(t, direction, dis):
         _sized_twice(made)
     if t.root_disambiguator is not None:
         _sized_twice(t.child(direction, dis))
-        _sized_twice(t.child(direction, dis).parent())
 
 
 @given(DOCS, st.integers(0, 2**16), st.sampled_from([b"A", b"B", b"new-site"]))
@@ -422,7 +416,7 @@ def test_allocated_walked_and_balanced_tids_size_exactly(doc, pick, site):
     position = pick % (doc.live_count + 1)
     _sized_twice(doc.alloc_tid_at_position(position, site))
     _sized_twice(doc.insert_at(position, site, b"x"))
-    minis = flatten_local(doc).new_doc.live_nodes()[0]
+    minis = flatten_for_commit(doc)[0].live_nodes()[0]
     for i in range(len(minis)):
         _sized_twice(balanced_tid(minis, i))
 
