@@ -16,6 +16,7 @@ from .errors import (
     IntentViolation,
     InvariantViolation,
     MalformedTID,
+    MalformedTrace,
     MissingAncestor,
     MissingTarget,
     NonConvergenceError,
@@ -62,6 +63,7 @@ __all__ = [
     "InvariantViolation",
     "LEFT",
     "MalformedTID",
+    "MalformedTrace",
     "MissingAncestor",
     "MissingTarget",
     "NonConvergenceError",

@@ -1,10 +1,11 @@
 """The replica: a tree of major nodes holding per-site mini-nodes.
 
-A major node groups the mini-nodes that share one tree position; inside it
-they are kept sorted by disambiguator. Each mini-node owns its atom slot,
-its tombstone flag and its own left/right child major nodes. The document
-is the infix traversal of the live mini-nodes. Every mini-node and major
-node carries ``live_size``, the number of live atoms in its subtree.
+A major node is one tree position, and it is itself the list of the
+mini-nodes there, sorted by disambiguator; it holds more than one only where
+sites inserted at one position concurrently. Each mini-node owns its atom
+slot, its tombstone flag and its own left/right child major nodes. The
+document is the infix traversal of the live mini-nodes. Every node carries
+``live_size``, the number of live atoms in its subtree.
 
 Three descents from the root address one node, each in O(depth):
 
@@ -95,22 +96,24 @@ class MiniNode:
         return f"MiniNode({self.disambiguator!r}, {self.atom!r}{flag})"
 
 
-class MajorNode:
-    __slots__ = ("minis", "live_size")
+class MajorNode(list):
+    """One tree position: the list of its mini-nodes, sorted by disambiguator.
+    Whoever links it sets ``live_size``. A node is not a value, so equality
+    and hashing are by identity."""
 
-    def __init__(self, minis: Optional[list[MiniNode]] = None):
-        # live_size is maintained by whoever mutates the tree, not here.
-        self.minis: list[MiniNode] = minis if minis is not None else []
-        self.live_size = 0
+    __slots__ = ("live_size",)
+    __eq__ = object.__eq__
+    __ne__ = object.__ne__
+    __hash__ = object.__hash__
 
     def find(self, dis: Disambiguator) -> Optional[MiniNode]:
-        for mini in self.minis:
+        for mini in self:
             if mini.disambiguator == dis:
                 return mini
         return None
 
     def add(self, mini: MiniNode) -> None:
-        insort(self.minis, mini, key=lambda m: m.disambiguator)
+        insort(self, mini, key=lambda m: m.disambiguator)
 
 
 class DocStats(NamedTuple):
@@ -133,6 +136,7 @@ class Treedoc:
 
     def __init__(self, epoch: int = 0):
         self.root = MajorNode()
+        self.root.live_size = 0
         self.epoch = epoch
         self.live_count = 0
         self.tombstone_count = 0
@@ -156,7 +160,7 @@ class Treedoc:
             if major is None:
                 break
             # Most major nodes hold one mini-node.
-            mini = major.minis[0]
+            mini = major[0]
             if mini.disambiguator != dis:
                 mini = major.find(dis)
                 if mini is None:
@@ -199,9 +203,10 @@ class Treedoc:
         else:
             major, dis = self.root, tid.root_disambiguator
         if major is None:
-            # A fresh child slot: an exact-size list, since flatten may reuse
-            # this major node for the lifetime of the document.
-            major = MajorNode([MiniNode(dis, atom)])
+            # A fresh child slot gets exact storage, not append's four slots,
+            # since flatten may reuse this major node for the document's life.
+            major = MajorNode((MiniNode(dis, atom),))
+            major.live_size = 0
             if direction:
                 parent.right = major
             else:
@@ -268,7 +273,7 @@ class Treedoc:
         elements = ELEMENTS
         major = chain[-1].right if direction else chain[-1].left
         while major is not None:
-            mini = major.minis[0]
+            mini = major[0]
             chain.append(mini)
             path.append(elements[mini.disambiguator][direction])
             major = mini.left
@@ -291,9 +296,9 @@ class Treedoc:
         if index:
             chain, path = self._locate(index - 1)
             return self._free_slot(chain, path, RIGHT, site), chain
-        if not self.root.minis:
+        if not self.root:
             return TID(site, ()), []
-        chain = [self.root.minis[0]]
+        chain = [self.root[0]]
         return self._free_slot(chain, [], LEFT, site), chain
 
     def alloc_tid_at_position(self, index: int, site: Disambiguator) -> TID:
@@ -311,7 +316,7 @@ class Treedoc:
         elements = ELEMENTS
         k, direction = index, None
         while True:
-            for mini in major.minis:
+            for mini in major:
                 left_size = mini.left.live_size if mini.left is not None else 0
                 if k < left_size:
                     side = LEFT
@@ -351,14 +356,14 @@ class Treedoc:
         ``direction`` the mini's own selector direction (None at root level).
         ``path`` is the traversal's stack: ``path_tid(path)`` gives the
         mini's TID until the iteration moves on. No TID is built otherwise.
-        ``path[-1][4]`` is the major node holding the mini.
+        ``path[-1][0]`` is the major node holding the mini.
         """
-        if not self.root.minis:
+        if not self.root:
             return
-        # Frame: [minis, index, direction into this major node, TID prefix
-        # (root disambiguator, path elements) or None until path_tid asks,
-        # the major node]. len(stack) - 1 is the depth.
-        frame = [self.root.minis, 0, None, (None, ()), self.root]
+        # Frame: [major node, index of the mini in it, direction into the
+        # major node, TID prefix (root disambiguator, path elements) or None
+        # until path_tid asks]. len(stack) - 1 is the depth.
+        frame = [self.root, 0, None, (None, ())]
         stack: list[list] = [frame]
         push = stack.append
         pop = stack.pop
@@ -366,10 +371,9 @@ class Treedoc:
         direction: Optional[int] = LEFT
         while True:
             while major is not None:
-                minis = major.minis
-                frame = [minis, 0, direction, None, major]
+                frame = [major, 0, direction, None]
                 push(frame)
-                major = minis[0].left
+                major = major[0].left
                 direction = LEFT
             mini = frame[0][frame[1]]
             yield mini, len(stack) - 1, frame[2], stack
@@ -408,7 +412,7 @@ class Treedoc:
         """
         minis: list[MiniNode] = []
         owners: list[Optional[MajorNode]] = []
-        if not self.root.minis:
+        if not self.root:
             return minis, owners
         add_mini = minis.append
         add_owner = owners.append
@@ -422,20 +426,19 @@ class Treedoc:
         major: Optional[MajorNode] = self.root
         while True:
             while major is not None:
-                ms = major.minis
-                if len(ms) == 1:
+                if len(major) == 1:
                     push(major)
                 else:
-                    for i in range(len(ms) - 1, 0, -1):
+                    for i in range(len(major) - 1, 0, -1):
                         push((major, i))
-                    push(ms[0])
-                major = ms[0].left
+                    push(major[0])
+                major = major[0].left
             if not stack:
                 return minis, owners
             item = pop()
             cls = item.__class__
             if cls is MajorNode:
-                mini = item.minis[0]
+                mini = item[0]
                 if not mini.tombstone:
                     add_mini(mini)
                     add_owner(item)
@@ -447,7 +450,7 @@ class Treedoc:
                 major = item.right
             else:
                 shared, i = item
-                mini = shared.minis[i]
+                mini = shared[i]
                 push(mini)
                 major = mini.left
 
@@ -480,7 +483,7 @@ class Treedoc:
             if depth > max_depth:
                 max_depth = depth
             header = header_cost(depth + 1)
-            for mini in major.minis:
+            for mini in major:
                 if mini.tombstone:
                     tombs += 1
                 else:
@@ -514,7 +517,7 @@ class Treedoc:
         # Children before parents.
         for major in reversed(order):
             total = 0
-            for mini in major.minis:
+            for mini in major:
                 size = 0 if mini.tombstone else 1
                 if mini.left is not None:
                     size += mini.left.live_size

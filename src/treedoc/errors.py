@@ -59,6 +59,10 @@ class IntentViolation(InvariantViolation):
     """A replica's live atoms are not the inserted minus the deleted ones."""
 
 
+class MalformedTrace(TreedocError, ValueError):
+    """A trace file line or a revision file cannot be read."""
+
+
 class PositionOutOfRange(TreedocError):
     """A trace event addressed a position outside the live document."""
 

@@ -11,8 +11,8 @@ and the disambiguators alone.
 There is one builder, ``build_balanced``, and it takes mini-nodes, which it
 relinks in place. ``flatten_for_commit`` (the commit path) consumes its
 replica: one walk gathers the live mini-nodes, and the builder relinks
-those same nodes, reusing each one's major node when it holds nothing else.
-The old tree is unusable afterwards. A nebula site's catch-up
+those same nodes. A major node, the list of a position's minis, is reused
+when it holds one; the old tree is unusable afterwards. A nebula site's catch-up
 (``protocol``) relinks its replica's own cyan skeleton the same way, major
 nodes included, and finds the new TID of any skeleton entry with
 ``balanced_tid``, which walks no tree; its black subtrees then go back in
@@ -51,7 +51,7 @@ def build_balanced(
     if owners is None:
         owners = [None] * n
     majors = [
-        major if major is not None else MajorNode([mini])
+        major if major is not None else MajorNode((mini,))
         for mini, major in zip(minis, owners)
     ]
     costs: dict[Disambiguator, int] = {}

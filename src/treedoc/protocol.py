@@ -430,8 +430,8 @@ class Site:
                         continue  # inside a black subtree
                 groups.setdefault(len(skeleton), []).append(mini)
                 continue
-            frame = path[-1]
-            owners.append(frame[4] if len(frame[0]) == 1 else None)
+            major = path[-1][0]
+            owners.append(major if len(major) == 1 else None)
             skeleton.append(mini)
         return skeleton, owners, deleted, groups
 
@@ -533,7 +533,7 @@ class Site:
                     )
                 for side, major in ((LEFT, mini.left), (RIGHT, mini.right)):
                     if major is not None:
-                        for child in major.minis:
+                        for child in major:
                             todo.append((child, tid.child(side, child.disambiguator)))
         # TID order is document order.
         emissions.sort(
@@ -607,7 +607,7 @@ def _slot_after(mini: MiniNode, tid: TID, dis: Disambiguator) -> TID:
     replica's old node: its re-inserted copy has the same shape."""
     path = list(tid.path)
     while mini.right is not None:
-        mini = mini.right.minis[-1]
+        mini = mini.right[-1]
         path.append(ELEMENTS[mini.disambiguator][RIGHT])
     path.append(ELEMENTS[dis][RIGHT])
     return TID._make(tid.root_disambiguator, tuple(path))

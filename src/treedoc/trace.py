@@ -18,7 +18,7 @@ from operator import ne
 from pathlib import Path
 from typing import Iterable, NamedTuple, Optional, TextIO
 
-from .errors import IndexOutOfRange, PositionOutOfRange
+from .errors import IndexOutOfRange, MalformedTrace, PositionOutOfRange
 from .protocol import OpKind, Role, Site, initiate_flatten
 
 _PARAGRAPH_SPLIT = re.compile(r"(\n{2,})")
@@ -181,7 +181,7 @@ def read_revisions_dir(path: str | Path) -> list[str]:
         try:
             texts.append(p.read_text(encoding="utf-8"))
         except UnicodeDecodeError as exc:
-            raise ValueError(f"{p}: revision is not UTF-8: {exc}") from exc
+            raise MalformedTrace(f"{p}: revision is not UTF-8: {exc}") from exc
     return texts
 
 
@@ -223,7 +223,7 @@ def read_trace(path: str | Path) -> list[TraceEvent]:
                     base64.b64decode(atom64, validate=True) if atom64 else None,
                 )
             except (ValueError, KeyError) as exc:
-                raise ValueError(
+                raise MalformedTrace(
                     f"{path}:{line_no}: malformed trace line: {exc}"
                 ) from exc
             events.append(event)
@@ -249,9 +249,7 @@ def replay(
     sites = [Site(f"s{i:02d}".encode(), Role.CORE) for i in range(site_count)]
     rows: list[MetricsRow] = []
     flattened_through = 0
-    op_index = 0
-    rr = 0
-    for ev in events:
+    for op_index, ev in enumerate(events):
         if flatten_interval > 0:
             boundary = (ev.revision // flatten_interval) * flatten_interval
             if boundary > flattened_through:
@@ -259,16 +257,10 @@ def replay(
                 # commit succeeds; an abort just retries at the next boundary.
                 if initiate_flatten(sites[0], sites).committed:
                     flattened_through = boundary
-        site = sites[rr]
-        rr = (rr + 1) % site_count
+        site = sites[op_index % site_count]
         started = time.perf_counter()
         try:
-            if ev.kind is OpKind.INSERT:
-                op = site.submit_local(
-                    OpKind.INSERT, position=ev.position, atom=ev.atom
-                )
-            else:
-                op = site.submit_local(OpKind.DELETE, position=ev.position)
+            op = site.submit_local(ev.kind, position=ev.position, atom=ev.atom)
         except IndexOutOfRange:
             raise PositionOutOfRange(
                 ev.revision, ev.position, site.replica.live_count
@@ -290,7 +282,6 @@ def replay(
                 doc.epoch,
             )
         )
-        op_index += 1
     return rows
 
 

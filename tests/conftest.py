@@ -98,7 +98,7 @@ def clone(doc: Treedoc) -> Treedoc:
     while stack:
         old, copy = stack.pop()
         copy.live_size = old.live_size
-        for mini in old.minis:
+        for mini in old:
             twin = MiniNode(mini.disambiguator, mini.atom)
             twin.tombstone = mini.tombstone
             twin.live_size = mini.live_size
@@ -108,5 +108,5 @@ def clone(doc: Treedoc) -> Treedoc:
             if mini.right is not None:
                 twin.right = MajorNode()
                 stack.append((mini.right, twin.right))
-            copy.minis.append(twin)
+            copy.append(twin)
     return new

@@ -32,16 +32,16 @@ def reference_collect(doc, black):
     """
     skeleton = []
     groups = {}
-    if not doc.root.minis:
+    if not doc.root:
         return skeleton, groups
     stack = [[doc.root, 0, 0]]
     while stack:
         frame = stack[-1]
         major, idx = frame[0], frame[1]
-        if idx >= len(major.minis):
+        if idx >= len(major):
             stack.pop()
             continue
-        mini = major.minis[idx]
+        mini = major[idx]
         if frame[2] == 0:
             entry = black.get(mini)
             if entry is not None and entry[0] is not None:
@@ -146,7 +146,7 @@ def counts(doc):
     parents first."""
     order = []
     doc._count(order)
-    sizes = [(major.live_size, [m.live_size for m in major.minis]) for major in order]
+    sizes = [(major.live_size, [m.live_size for m in major]) for major in order]
     return doc.live_count, doc.tombstone_count, doc.tid_bytes_total, sizes
 
 

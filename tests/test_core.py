@@ -269,11 +269,11 @@ def assert_live_sizes_recount(doc: Treedoc) -> None:
     while stack:
         major = stack.pop()
         order.append(major)
-        stack.extend(c for m in major.minis for c in (m.left, m.right) if c)
+        stack.extend(c for m in major for c in (m.left, m.right) if c)
     sizes = {}
     for major in reversed(order):  # children before parents
         total = 0
-        for mini in major.minis:
+        for mini in major:
             below = [sizes[id(c)] for c in (mini.left, mini.right) if c]
             size = (not mini.tombstone) + sum(below)
             assert mini.live_size == size
@@ -496,7 +496,7 @@ def _reference_chain(doc: Treedoc, t: TID) -> tuple[list, int]:
         if mini is None:
             break
         chain.append(mini)
-        later += mini is not major.minis[0]
+        later += mini is not major[0]
     return chain, later
 
 

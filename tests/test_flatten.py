@@ -22,7 +22,7 @@ def test_build_balanced_empty():
 def test_build_balanced_abcdef_shape():
     doc = build_balanced(_minis("abcdef"))
     assert doc.text() == "abcdef"
-    root_mini = doc.root.minis[0]
+    root_mini = doc.root[0]
     assert root_mini.atom == b"d"  # midpoint at index n // 2
     stats = doc.stats()
     # three node levels for six atoms: ceil(log2(7)); paths are two deep

@@ -150,6 +150,6 @@ def test_bench_rejects_an_aborted_flatten(monkeypatch):
 def test_tid_of_live_index_with_broken_live_sizes():
     doc = build_abcdef()
     assert doc.tid_of_live_index(5) == TID(b"A", ((1, b"A"), (1, b"A")))
-    doc.root.minis[0].right.live_size = 0  # "d", "e", "f" vanish from the counts
+    doc.root[0].right.live_size = 0  # "d", "e", "f" vanish from the counts
     with pytest.raises(InvariantViolation, match="live_size"):
         doc.tid_of_live_index(5)

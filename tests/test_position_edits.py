@@ -30,7 +30,7 @@ def live_sizes(doc: Treedoc) -> list[int]:
     while stack:
         major = stack.pop()
         sizes.append(major.live_size)
-        for mini in major.minis:
+        for mini in major:
             sizes.append(mini.live_size)
             stack.extend(c for c in (mini.left, mini.right) if c is not None)
     return sizes

@@ -1024,3 +1024,87 @@ def test_deliver_walks_each_remote_op_once_per_attempt(monkeypatch):
     assert site.deliver(first) is DeliverResult.APPLIED
     assert walks == [second.tid, first.tid, second.tid]
     assert site.replica.text() == "pq"
+
+
+# -- several sites at one tree position -------------------------------------------
+
+
+def _deliver_scrambled(data, site, ops):
+    """Deliver ``ops`` to ``site`` in a drawn order, some of them again."""
+    again = data.draw(st.lists(st.sampled_from(ops), max_size=len(ops))) if ops else []
+    for op in data.draw(st.permutations(ops + again)):
+        site.deliver(op)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_sites_inserting_at_one_position_converge_through_flatten_and_catch_up(data):
+    # Three or more of three cores and two nebulas insert at one position of
+    # equal replicas, so their first atoms share a major node; a second atom
+    # right after a site's first hangs below it. The nebulas may then insert
+    # at one position of their own again. Every op reaches its readers in
+    # any order, some twice, before a flatten and both nebulas' catch-ups.
+    cores = [Site(b"C%d" % i, Role.CORE) for i in range(3)]
+    nebulas = [Site(b"N%d" % i, Role.NEBULA) for i in range(2)]
+    sites = cores + nebulas
+    expected = [b"s0", b"s1"]
+    for i, atom in enumerate(expected):
+        cores[0].submit_local(OpKind.INSERT, position=i, atom=atom)
+    seed_ops, cores[0].outbox = cores[0].outbox, []
+    for site in sites[1:]:
+        for op in seed_ops:
+            site.deliver(op)
+
+    writers = data.draw(st.lists(st.sampled_from(sites), min_size=3, unique=True))
+    position = data.draw(st.integers(0, len(expected)))
+    for site in writers:
+        for j in range(data.draw(st.integers(1, 2))):
+            atom = site.id + b"-%d" % j
+            site.submit_local(OpKind.INSERT, position=position + j, atom=atom)
+            expected.append(atom)
+    if data.draw(st.booleans()):
+        site = data.draw(st.sampled_from(sites))
+        index = data.draw(st.integers(0, site.replica.live_count - 1))
+        expected.remove(site.replica.atoms()[index])
+        site.submit_local(OpKind.DELETE, position=index)
+    core_ops = [op for site in cores for op in site.outbox]
+    nebula_ops = [op for site in nebulas for op in site.outbox]
+    for site in sites:
+        site.outbox = []
+        _deliver_scrambled(data, site, core_ops + nebula_ops * (site.role is Role.NEBULA))
+    assert len({site.replica.state_digest() for site in cores}) == 1
+    assert nebulas[0].replica.state_digest() == nebulas[1].replica.state_digest()
+
+    if data.draw(st.booleans()):
+        # Most often right after a nebula's atom: a shared major node below a
+        # black root, which a later root in its gap must pass on the right.
+        atoms = nebulas[0].replica.atoms()
+        mine = [i + 1 for i, atom in enumerate(atoms) if atom.startswith(b"N")]
+        position = data.draw(
+            st.sampled_from(mine) if mine else st.integers(0, len(atoms))
+        )
+        for site in nebulas:
+            atom = site.id + b"-again"
+            site.submit_local(OpKind.INSERT, position=position, atom=atom)
+            expected.append(atom)
+        nebula_ops = [op for site in nebulas for op in site.outbox]
+        for site in nebulas:
+            site.outbox = []
+            _deliver_scrambled(data, site, nebula_ops)
+
+    outcome = initiate_flatten(cores[0], cores)
+    assert outcome.committed
+    batches = []
+    for site in nebulas:
+        before = site.replica.atoms()
+        site.receive_decision(outcome.announcement)
+        batches.extend(site.maybe_catch_up())
+        assert site.replica.epoch == 1
+        assert site.replica.atoms() == before  # catch-up renames, in order
+    for site in sites:
+        _deliver_scrambled(data, site, batches)
+    assert len({site.replica.state_digest() for site in sites}) == 1
+    for site in sites:
+        assert sorted(site.replica.atoms()) == sorted(expected)
+        assert site.replica.counters_consistent()
+        assert not site.pending

@@ -6,7 +6,9 @@ sums the TID bytes node by node. The commit path relinks the old tree's own
 nodes instead; both must give the same tree, digest and counters.
 """
 
+import gc
 import sys
+import tracemalloc
 from random import Random
 
 import pytest
@@ -57,8 +59,8 @@ def _sizes(doc: Treedoc) -> list:
     stack = [doc.root]
     while stack:
         major = stack.pop()
-        out.append(("major", major.live_size, len(major.minis)))
-        for mini in major.minis:
+        out.append(("major", major.live_size, len(major)))
+        for mini in major:
             out.append(("mini", mini.live_size))
             for child in (mini.left, mini.right):
                 if child is not None:
@@ -105,8 +107,8 @@ def test_multisite_docs_share_major_nodes():
     stack = [doc.root]
     while stack:
         major = stack.pop()
-        counts.append(len(major.minis))
-        for mini in major.minis:
+        counts.append(len(major))
+        for mini in major:
             stack.extend(c for c in (mini.left, mini.right) if c is not None)
     assert max(counts) >= 3
 
@@ -150,7 +152,7 @@ def test_commit_flatten_reuses_single_mini_majors():
     reused = 0
     while stack:
         major = stack.pop()
-        (mini,) = major.minis
+        (mini,) = major
         assert id(mini) in live  # the old node, relinked
         if owners.get(id(mini)) is major:
             reused += 1
@@ -181,7 +183,7 @@ def test_build_balanced_leaves_entries_alone():
     ]
     b = build_balanced([MiniNode(dis, atom) for atom, dis in entries])
     assert a.state_digest() == b.state_digest()
-    assert a.root.minis[0] is minis[1] is not b.root.minis[0]
+    assert a.root[0] is minis[1] is not b.root[0]
 
 
 def test_live_nodes_orders_shared_majors():
@@ -191,7 +193,7 @@ def test_live_nodes_orders_shared_majors():
     assert [id(m) for m in minis] == [id(m) for m in walked]
     for mini, owner in zip(minis, owners):
         if owner is not None:
-            assert owner.minis == [mini]
+            assert list(owner) == [mini]
     assert doc.atoms() == [m.atom for m in walked]
 
 
@@ -200,9 +202,40 @@ def test_insert_gives_new_major_an_exact_list():
     doc.insert(TID(b"A"), b"a")
     child = TID(b"A").child(RIGHT, b"A")
     doc.insert(child, b"b")
-    major = doc.root.minis[0].right
-    assert major.minis == [doc.find(child)]
-    assert sys.getsizeof(major.minis) == sys.getsizeof([None])
+    major = doc.root[0].right
+    assert list(major) == [doc.find(child)]
+    # Exact storage, which list() rounds up to two item pointers (one
+    # 16-byte allocator class); append or insort would allocate four.
+    item = sys.getsizeof([None]) - sys.getsizeof([])
+    assert sys.getsizeof(major) - sys.getsizeof(MajorNode()) <= 2 * item
     assert major.live_size == 1
     assert doc.root.live_size == 2
     assert doc.counters_consistent()
+
+
+def test_a_position_costs_one_mini_and_one_major_node():
+    # The layout guard: a tree position holds a MiniNode and a MajorNode that
+    # is itself the list of its minis, and nothing else. The bound comes from
+    # the running interpreter's object sizes, plus 16 B of slack. A full
+    # collection empties the free lists, which would hold freed path tuples.
+    atoms = [bytes([97 + i]) for i in range(26)]
+    rng = Random(7)
+    doc = Treedoc()
+    tracemalloc.start()
+    try:
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(4000):
+            live = doc.live_count
+            if live and rng.random() < 0.3:
+                doc.delete_at(rng.randrange(live))
+            else:
+                site = (b"A", b"B", b"C")[rng.randrange(3)]
+                doc.insert_at(rng.randint(0, live), site, atoms[rng.randrange(26)])
+        gc.collect()
+        used = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    mini = MiniNode(b"A", b"a")
+    bound = sys.getsizeof(mini) + sys.getsizeof(MajorNode((mini,))) + 16
+    assert used / doc.node_count <= bound

@@ -6,11 +6,13 @@ from hypothesis import example, given, settings, strategies as st
 
 from treedoc import (
     Granularity,
+    MalformedTrace,
     OpKind,
     PositionOutOfRange,
     Role,
     Site,
     TraceEvent,
+    TreedocError,
     diff_to_ops,
     events_from_revisions,
     read_trace,
@@ -323,6 +325,20 @@ def test_read_trace_reports_a_line_that_is_not_utf8_with_its_number(tmp_path):
     path.write_bytes(b"0\tinsert\t0\tYQ==\n1\tinsert\t0\t\xffYQ==\n")
     with pytest.raises(ValueError, match=r"bad\.trace:2: malformed trace line"):
         read_trace(path)
+
+
+def test_malformed_trace_and_revision_files_raise_a_typed_error(tmp_path):
+    path = tmp_path / "bad.trace"
+    path.write_text("0\tinsert\t0\tYQ==\n1\tinsert\tx\tYQ==\n", encoding="utf-8")
+    with pytest.raises(MalformedTrace, match=r"bad\.trace:2: malformed trace line"):
+        read_trace(path)
+    revisions = tmp_path / "revisions"
+    revisions.mkdir()
+    (revisions / "0001.txt").write_bytes(b"ok\xff")
+    with pytest.raises(MalformedTrace, match=r"0001\.txt: revision is not UTF-8"):
+        trace_mod.read_revisions_dir(revisions)
+    assert issubclass(MalformedTrace, TreedocError)
+    assert issubclass(MalformedTrace, ValueError)
 
 
 def test_read_trace_accepts_crlf_line_ends(tmp_path):
