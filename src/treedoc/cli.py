@@ -167,17 +167,17 @@ def _cmd_demo_catchup() -> int:
     for mini, (insert, _) in black.items():
         what = "insert" if insert is not None else "tombstone only"
         print(f"  {mini.atom.decode()!r}: {what}")
-    skeleton, _, _, groups = nebula._collect_catch_up(black)
+    skeleton, _, edits = nebula._collect_catch_up(black)
     listing = ", ".join(
         f"{m.atom.decode()}{' (black tombstone)' if m.tombstone else ''}"
         for m in skeleton
     )
     print(f"\ncyan list: [{listing}]")
-    for gap, roots in sorted(groups.items()):
-        atoms = ", ".join(r.atom.decode() for r in roots)
-        print(f"black subtrees in gap {gap}: [{atoms}]")
+    for index, mini in edits:
+        what = "delete" if black[mini][0] is None else "insert"
+        print(f"black edit at index {index}: {what} {mini.atom.decode()!r}")
 
-    emissions = nebula.catch_up([], ann.new_epoch)
+    emissions = nebula.catch_up()
     print(f"\nnebula re-enters epoch {nebula.replica.epoch}; emitted operations:")
     for op in emissions:
         atom = f" atom={op.atom!r}" if op.atom is not None else ""

@@ -14,9 +14,7 @@ replica: one walk gathers the live mini-nodes, and the builder relinks
 those same nodes. A major node, the list of a position's minis, is reused
 when it holds one; the old tree is unusable afterwards. A nebula site's catch-up
 (``protocol``) relinks its replica's own cyan skeleton the same way, major
-nodes included, and finds the new TID of any skeleton entry with
-``balanced_tid``, which walks no tree; its black subtrees then go back in
-through ``insert``.
+nodes included; its black edits then replay on it by position.
 
 The commit digest (``flat_digest``) is verified: the commit round compares
 every member's digest with the coordinator's, and a nebula site's catch-up

@@ -16,7 +16,8 @@ Epochs: each committed flatten opens a new epoch and invalidates old
 TIDs. Operations carry their epoch and apply only in it: a replica buffers
 those of a later epoch and drops those of an earlier one. A lagging nebula
 site re-enters the current epoch through the cyan/black catch-up below,
-which sends its uncommitted operations again under new TIDs.
+which replays its uncommitted operations by position and sends them again
+under new TIDs.
 
 Messages are the protocol's own values (``Operation``, ``PrepareMessage``,
 ``Vote``, ``FlattenAnnouncement``); how they travel, and the text a log
@@ -33,8 +34,8 @@ from .core import EffectReport, MajorNode, MiniNode, Treedoc
 from .errors import (
     EpochMismatch, InvariantViolation, MissingAncestor, MissingTarget, ProtocolError
 )
-from .flatten import balanced_tid, build_balanced, flat_digest, flatten_for_commit
-from .tid import ELEMENTS, LEFT, RIGHT, Disambiguator, TID, _check_disambiguator
+from .flatten import build_balanced, flat_digest, flatten_for_commit
+from .tid import Disambiguator, TID, _check_disambiguator
 
 Identity = tuple[Disambiguator, int]
 # Catch-up's black effects: node -> (uncommitted insert, delete to emit).
@@ -175,10 +176,7 @@ class Site:
         atom: Optional[bytes] = None,
     ) -> Operation:
         """Initiate an update here: allocate, apply, stamp, queue for dispatch."""
-        if kind is OpKind.INSERT and atom is None:
-            raise ProtocolError("insert needs an atom")
-        if kind is OpKind.DELETE and atom is not None:
-            raise ProtocolError("delete carries no atom")
+        _check_payload(kind, atom)
         if position is None:
             raise ProtocolError(f"local {kind.value} needs a position")
         if kind is OpKind.INSERT:
@@ -215,12 +213,13 @@ class Site:
     def deliver(self, op: Operation) -> DeliverResult:
         """Replay a remote operation, buffering until causally ready.
 
-        Any number of redeliveries leaves the replica unchanged. Operations
-        of a later epoch wait in ``epoch_buffers`` until this site reaches
-        it; those of an earlier one are dropped, since catch-up sends again
-        what the core did not commit. In the epoch, an identity in
-        ``epoch_ids`` or ``pending`` is a duplicate. An identity recorded in
-        an earlier epoch comes back only as a catch-up re-emission, so:
+        A malformed op raises ProtocolError and changes nothing. Any number
+        of redeliveries leaves the replica unchanged. Operations of a later
+        epoch wait in ``epoch_buffers`` until this site reaches it; those of
+        an earlier one are dropped, since catch-up sends again what the core
+        did not commit. In the epoch, an identity in ``epoch_ids`` or
+        ``pending`` is a duplicate. An identity recorded in an earlier epoch
+        comes back only as a catch-up re-emission, so:
 
         (a) a committed one is cyan at every nebula, and none re-emits it;
         (b) an uncommitted insert, and the first uncommitted delete of a node
@@ -232,6 +231,9 @@ class Site:
             identity before it catches up), or it lands on a node tombstoned
             here: ``ALREADY_TOMBSTONE``, answered ``DUPLICATE``.
         """
+        if not isinstance(op.tid, TID):
+            raise ProtocolError(f"op without a TID: {op.tid!r:.40}")
+        _check_payload(op.kind, op.atom)
         ident = op.identity
         if op.epoch != self.replica.epoch:
             if op.epoch > self.replica.epoch:
@@ -389,69 +391,54 @@ class Site:
 
     def _collect_catch_up(
         self, black: BlackTable
-    ) -> tuple[
-        list[MiniNode], list[Optional[MajorNode]], list[int], dict[int, list[MiniNode]]
-    ]:
-        """Step one: the cyan skeleton in order, its major nodes, the indices
-        of its black tombstones, and the black subtrees per gap.
+    ) -> tuple[list[MiniNode], list[Optional[MajorNode]], list[tuple[int, MiniNode]]]:
+        """Step one: the cyan skeleton in document order, its major nodes, and
+        the black edits to replay on the rebuilt skeleton.
 
         The skeleton is the replica's own mini-nodes for the cyan atoms the
         core's flatten kept: the live ones, and the tombstones whose delete
         is black. ``owners[i]`` is the major node holding ``skeleton[i]``
-        when it holds nothing else, as ``live_nodes`` gives it. Black nodes
-        only ever hang below the cyan skeleton (a cyan node's ancestors are
-        all cyan, because the core applied it only after its ancestors
-        existed there), so a maximal black subtree is intact and its whole
-        span falls in a single gap between consecutive skeleton entries. Its
-        root is the black insert whose parent is not one; gap 0 is the
-        virtual sentinel before the first entry, and the gaps come in
-        ascending order. A cyan tombstone drops out; its subtrees stay in
-        document order. With nothing black, it is the commit path's ``live_nodes``.
+        when it holds nothing else, as ``live_nodes`` gives it. ``edits``
+        holds ``(index, mini)`` for each black node in document order: a
+        skeleton entry with a black tombstone, or a black insert. ``index``
+        counts the atoms before it that are live in the new epoch once the
+        earlier edits are replayed: a live cyan atom counts 1, a black
+        tombstone 0, and a black insert 1 unless its delete is black too.
+        With nothing black, it is the commit path's ``live_nodes``.
         """
         if not black:
-            return (*self.replica.live_nodes(), [], {})
+            return (*self.replica.live_nodes(), [])
         skeleton: list[MiniNode] = []
         owners: list[Optional[MajorNode]] = []
-        deleted: list[int] = []
-        groups: dict[int, list[MiniNode]] = {}
+        edits: list[tuple[int, MiniNode]] = []
+        live = 0
         get = black.get
-        for mini, depth, _, path in self.replica.iter_nodes():
+        for mini, _, _, path in self.replica.iter_nodes():
             entry = get(mini)
             if entry is None:
                 if mini.tombstone:
                     continue
-            elif entry[0] is None:
-                deleted.append(len(skeleton))
+                live += 1
             else:
-                if depth:
-                    frame = path[-2]
-                    above = get(frame[0][frame[1]])
-                    if above is not None and above[0] is not None:
-                        continue  # inside a black subtree
-                groups.setdefault(len(skeleton), []).append(mini)
-                continue
+                edits.append((live, mini))
+                if entry[0] is not None:  # a black insert
+                    live += entry[1] is None
+                    continue
             major = path[-1][0]
             owners.append(major if len(major) == 1 else None)
             skeleton.append(mini)
-        return skeleton, owners, deleted, groups
+        return skeleton, owners, edits
 
-    def catch_up(
-        self, buffered_old_core_ops: Iterable[Operation], new_epoch: int
-    ) -> list[Operation]:
-        """Translate this site's black operations into the new epoch.
+    def catch_up(self) -> list[Operation]:
+        """Translate this site's black operations into the next epoch.
 
-        Applies any remaining old core updates, builds the black table
-        (``mark_colors``), relinks the replica's cyan skeleton and its major
-        nodes exactly as the core's flatten did, and then touches only what
-        is black:
-
-        * each black tombstone of the skeleton is deleted at its new TID,
-          which the midpoint rule gives (``balanced_tid``);
-        * each black subtree is inserted again, node by node in pre-order,
-          at an order-preserving free slot (``_gap_slot``, ``_slot_after``),
-          its tombstones deleted there too;
-        * the translated operations (original identities, new TIDs) are
-          emitted as those deletes and inserts are applied.
+        Needs the announcement that closed the replica's epoch and every op
+        it committed: a caller holding stranded core ops delivers them
+        first. Builds the black table (``mark_colors``), relinks the cyan
+        skeleton and its major nodes exactly as the core's flatten did, and
+        replays the black edits by position, in document order
+        (``_collect_catch_up``), emitting each translated operation
+        (original identity, new TID) as it applies it.
 
         They are ordered by depth, inserts before deletes, then document
         order, so a receiver applies each one without buffering. The emitted
@@ -460,23 +447,16 @@ class Site:
         """
         if self.role is not Role.NEBULA:
             raise ProtocolError("catch-up is a nebula-side step")
-        if self.replica.epoch != new_epoch - 1:
-            raise EpochMismatch(
-                f"replica at epoch {self.replica.epoch}, cannot enter {new_epoch}"
-            )
-        old_epoch = new_epoch - 1
+        old_epoch = self.replica.epoch
+        new_epoch = old_epoch + 1
         ann = self.announcements.get(old_epoch)
         if ann is None or ann.new_epoch != new_epoch:
             raise EpochMismatch(f"no commit announcement for epoch {old_epoch}")
-        for op in buffered_old_core_ops:
-            self.deliver(op)
         missing = ann.committed_ids - self.epoch_ids
         if missing:
-            raise ProtocolError(
-                f"catch-up started before {len(missing)} committed ops arrived"
-            )
+            raise ProtocolError(f"catch-up before {len(missing)} committed ops arrived")
         black = self.mark_colors(ann.committed_ids)
-        skeleton, owners, deleted, groups = self._collect_catch_up(black)
+        skeleton, owners, edits = self._collect_catch_up(black)
         # Checked before the skeleton is relinked: on a mismatch the replica
         # is left as it was.
         if flat_digest(new_epoch, skeleton) != ann.doc_digest:
@@ -487,69 +467,30 @@ class Site:
         new_doc = build_balanced(skeleton, owners)
         new_doc.epoch = new_epoch
         emissions: list[Operation] = []
-        for i in deleted:
-            # build_balanced counted the entry live: delete it as every
-            # receiver of the emitted delete will.
-            mini = skeleton[i]
-            tid = balanced_tid(skeleton, i)
-            mini.tombstone = False
-            new_doc.delete(tid)
-            emissions.append(
-                Operation(new_epoch, OpKind.DELETE, tid, None, *black[mini][1])
-            )
-        for gap, roots in groups.items():
-            first = roots[0]
-            if skeleton:
-                index, direction = _gap_slot(skeleton, gap)
-                tid = balanced_tid(skeleton, index).child(
-                    direction, first.disambiguator
-                )
-                # insert would put the root beside a node already there.
-                parent = skeleton[index]
-                if (parent.right if direction else parent.left) is not None:
-                    raise InvariantViolation(f"black root slot {tid!r} is taken")
+        inserts: dict[TID, Identity] = {}
+        deletes: dict[TID, list[Identity]] = {}
+        for index, mini in edits:
+            ins, dele = black[mini]
+            if ins is None:
+                # build_balanced counted the entry live. Clearing its flag
+                # here is safe: edits run in document order, and _locate(i)
+                # never reads the flag of a node after atom i.
+                mini.tombstone = False
+                tid = new_doc.delete_at(index)
             else:
-                # Only gap 0, in an empty tree.
-                tid = TID(first.disambiguator)
-            # Pre-order, parents first; a later root hangs below the right
-            # spine of the one before it, so each root's subtree goes first.
-            todo = [(first, tid)]
-            for above, root in zip(roots, roots[1:]):
-                tid = _slot_after(above, tid, root.disambiguator)
-                todo.append((root, tid))
-            todo.reverse()
-            while todo:
-                mini, tid = todo.pop()
-                # A black subtree holds black inserts only.
-                ins, dele = black[mini]
-                new_doc.insert(tid, mini.atom)
-                emissions.append(
-                    Operation(new_epoch, OpKind.INSERT, tid, mini.atom, *ins)
-                )
-                if dele is not None:
-                    new_doc.delete(tid)
-                    emissions.append(
-                        Operation(new_epoch, OpKind.DELETE, tid, None, *dele)
-                    )
-                for side, major in ((LEFT, mini.left), (RIGHT, mini.right)):
-                    if major is not None:
-                        for child in major:
-                            todo.append((child, tid.child(side, child.disambiguator)))
+                tid = new_doc.insert_at(index, mini.disambiguator, mini.atom)
+                emissions.append(Operation(new_epoch, OpKind.INSERT, tid, mini.atom, *ins))
+                inserts[tid] = ins
+                if dele is None:
+                    continue
+                new_doc.delete(tid)
+            emissions.append(Operation(new_epoch, OpKind.DELETE, tid, None, *dele))
+            deletes[tid] = [dele]
         # TID order is document order.
-        emissions.sort(
-            key=lambda op: (op.tid.depth, op.kind is OpKind.DELETE, op.tid)
-        )
-
-        new_ins: dict[TID, Identity] = {}
-        new_del: dict[TID, list[Identity]] = {}
-        for op in emissions:
-            if op.kind is OpKind.INSERT:
-                new_ins[op.tid] = op.identity
-            else:
-                new_del[op.tid] = [op.identity]
+        emissions.sort(key=lambda op: (op.tid.depth, op.kind is OpKind.DELETE, op.tid))
         self.replica = new_doc
-        self.applied_inserts = new_ins
-        self.applied_deletes = new_del
+        self.applied_inserts = inserts
+        self.applied_deletes = deletes
         self._forget_before(new_epoch)
         self.epoch_ids.update(op.identity for op in emissions)
         self.pending.clear()
@@ -573,7 +514,7 @@ class Site:
             # as many delivered identities as the committed set holds.
             if len(have) < len(ann.committed_ids) or not ann.committed_ids <= have:
                 break
-            emissions = self.catch_up([], ann.new_epoch)
+            emissions = self.catch_up()
             self._drain_epoch_buffer()
         return emissions
 
@@ -584,33 +525,14 @@ class Site:
                 self.deliver(op)
 
 
-def _gap_slot(skeleton: list[MiniNode], gap: int) -> tuple[int, int]:
-    """The free slot whose infix position is gap ``gap`` of the new tree, as
-    (skeleton index, direction).
-
-    Between consecutive infix neighbours one of (left.right, right.left) is
-    always absent in a freshly built tree, so a black root inserted there
-    never joins a cyan node's major node.
-    """
-    if gap == 0:
-        return 0, LEFT
-    if gap == len(skeleton):
-        return gap - 1, RIGHT
-    if skeleton[gap - 1].right is None:
-        return gap - 1, RIGHT
-    return gap, LEFT
-
-
-def _slot_after(mini: MiniNode, tid: TID, dis: Disambiguator) -> TID:
-    """TID for a node with disambiguator ``dis`` at the free slot right of
-    everything under ``mini``, whose TID is ``tid``. Catch-up passes the
-    replica's old node: its re-inserted copy has the same shape."""
-    path = list(tid.path)
-    while mini.right is not None:
-        mini = mini.right[-1]
-        path.append(ELEMENTS[mini.disambiguator][RIGHT])
-    path.append(ELEMENTS[dis][RIGHT])
-    return TID._make(tid.root_disambiguator, tuple(path))
+def _check_payload(kind: OpKind, atom: Optional[bytes]) -> None:
+    """Raise ProtocolError unless ``kind`` is an insert of bytes or a delete of None."""
+    if kind is OpKind.INSERT:
+        ok = isinstance(atom, bytes)
+    else:
+        ok = kind is OpKind.DELETE and atom is None
+    if not ok:
+        raise ProtocolError(f"{kind!r:.40} op with atom {atom!r:.40}")
 
 
 Observer = Callable[[Disambiguator, Disambiguator, object], None]

@@ -1,72 +1,59 @@
 """Catch-up's collect step against a reference walk.
 
-``reference_collect`` is the collect step as a pruning tree walk of its own:
-it stops at each black subtree's root and copies every cyan atom it keeps
-into a fresh mini-node. ``Site._collect_catch_up`` reads the shared
-document-order traversal instead and returns the replica's own nodes. On
-the same nebula histories both must give the same skeleton and the same
-black subtree roots in the same gaps.
+``reference_collect`` is the collect step as a tree walk of its own: it
+copies every cyan atom it keeps into a fresh mini-node, and it gives each
+black edit the number of atoms live in the nebula's replica before the
+edit's node. That is the index catch-up replays the edit at, because
+replaying the earlier edits in document order makes exactly those atoms
+live in the new epoch. ``Site._collect_catch_up`` reads the shared
+document-order traversal instead, counts as it goes, and returns the
+replica's own nodes. On the same nebula histories both must give the same
+skeleton and the same ``(index, node)`` edits.
 
-The rest of the catch-up touches only what is black. After it, every
-``live_size`` and document counter must equal a full recount, the TID
-bytes counter must equal the wire bytes of every TID, and the emitted
-operations must equal ``reference_emission``: one walk of the whole rebuilt
-tree and a stable sort.
+The rest of the catch-up touches only what is black. After it, the text
+must be unchanged, every ``live_size`` and document counter must equal a
+full recount, the TID bytes counter must equal the wire bytes of every
+TID, and the emitted operations must equal ``reference_emission``: one walk
+of the whole rebuilt tree and a stable sort.
 """
 
+import copy
 from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from treedoc import OpKind, Operation, Role, Site, Treedoc, initiate_flatten
+from treedoc import DeliverResult, OpKind, Operation, Role, Site, Treedoc, initiate_flatten
 from treedoc.core import MiniNode, path_tid
 
 NEBULAS = (b"N1", b"N2", b"N3")
 
 
-def reference_collect(doc, black):
-    """The skeleton (fresh nodes) and the black roots per gap.
+def _infix(major):
+    for mini in major:
+        if mini.left is not None:
+            yield from _infix(mini.left)
+        yield mini
+        if mini.right is not None:
+            yield from _infix(mini.right)
 
-    Enters each fresh node for a black tombstone in ``black``: pass a copy.
-    """
+
+def reference_collect(doc, black):
+    """The skeleton (fresh nodes) and the black edits as ``(index, node)``."""
     skeleton = []
-    groups = {}
-    if not doc.root:
-        return skeleton, groups
-    stack = [[doc.root, 0, 0]]
-    while stack:
-        frame = stack[-1]
-        major, idx = frame[0], frame[1]
-        if idx >= len(major):
-            stack.pop()
-            continue
-        mini = major[idx]
-        if frame[2] == 0:
-            entry = black.get(mini)
-            if entry is not None and entry[0] is not None:
-                groups.setdefault(len(skeleton), []).append(mini)
-                frame[1] += 1
-                continue
-            frame[2] = 1
-            if mini.left is not None:
-                stack.append([mini.left, 0, 0])
-                continue
-        if frame[2] == 1:
-            frame[2] = 2
-            entry = black.get(mini)
-            if entry is not None or not mini.tombstone:
-                node = MiniNode(mini.disambiguator, mini.atom)
-                if entry is not None:
-                    node.tombstone = True
-                    black[node] = entry
-                skeleton.append(node)
-            if mini.right is not None:
-                stack.append([mini.right, 0, 0])
-                continue
-        frame[1] += 1
-        frame[2] = 0
-    return skeleton, groups
+    edits = []
+    live = 0
+    for mini in _infix(doc.root):
+        entry = black.get(mini)
+        if entry is not None:
+            edits.append((live, mini))
+        # The core kept its live atoms, and those only the nebula deleted.
+        if entry is None and not mini.tombstone or entry is not None and entry[0] is None:
+            node = MiniNode(mini.disambiguator, mini.atom)
+            node.tombstone = entry is not None
+            skeleton.append(node)
+        live += not mini.tombstone
+    return skeleton, edits
 
 
 def run_history(n_nebulas, history):
@@ -122,7 +109,7 @@ def reference_emission(doc, black, epoch):
     walk of the whole tree in document order and stably sorted by depth,
     inserts before deletes.
 
-    Catch-up inserts the black subtrees as fresh nodes, so the table is
+    Catch-up inserts the black nodes as fresh nodes, so the table is
     matched by (disambiguator, atom), which is unique per (site, seq) here.
     """
     by_value = {(m.disambiguator, m.atom): entry for m, entry in black.items()}
@@ -152,19 +139,20 @@ def counts(doc):
 
 def check_collect(site, ann):
     """Compare the collect step with the reference, then finish the catch-up
-    and compare its counters and emissions with a recount and a reference."""
+    and compare its text, counters and emissions with the replica before, a
+    recount and a reference."""
     black = site.mark_colors(ann.committed_ids)
-    skeleton, _, _, groups = site._collect_catch_up(black)
-    want_skeleton, want_groups = reference_collect(site.replica, dict(black))
+    skeleton, _, edits = site._collect_catch_up(black)
+    want_skeleton, want_edits = reference_collect(site.replica, black)
     entries = [(m.disambiguator, m.atom, m.tombstone) for m in skeleton]
     assert entries == [(m.disambiguator, m.atom, m.tombstone) for m in want_skeleton]
-    assert {gap: [id(r) for r in roots] for gap, roots in groups.items()} == {
-        gap: [id(r) for r in roots] for gap, roots in want_groups.items()
-    }
-    features = _features(site, black, skeleton, groups)
+    assert [(i, id(m)) for i, m in edits] == [(i, id(m)) for i, m in want_edits]
+    features = _features(site, black, skeleton, edits)
+    text = site.replica.text()
     # The rebuilt skeleton matches the digest, or this raises.
-    emitted = site.catch_up([], ann.new_epoch)
+    emitted = site.catch_up()
     doc = site.replica
+    assert doc.text() == text
     kept = counts(doc)
     doc.recompute_counters()
     assert kept == counts(doc)
@@ -178,32 +166,46 @@ def check_collect(site, ann):
     return features
 
 
-def _features(site, black, skeleton, groups):
-    """Which of the cases the collect step must handle this replica shows."""
-    roots = {id(r) for rs in groups.values() for r in rs}
+def _features(site, black, skeleton, edits):
+    """Which of the shapes the collect step must handle this replica shows.
+
+    A black root is a black insert whose parent is not one; its gap is the
+    number of skeleton entries before it.
+    """
     found = set()
-    if not skeleton and groups:
+    gaps = {}
+    kept = 0
+    for mini, depth, _, path in site.replica.iter_nodes():
+        entry = black.get(mini)
+        if entry is None or entry[0] is None:
+            kept += entry is not None or not mini.tombstone
+            continue
+        major = path[-1][0]
+        if sum(black.get(m, (None,))[0] is not None for m in major) > 1:
+            found.add("black roots share a major node")
+        if depth:
+            frame = path[-2]
+            parent = frame[0][frame[1]]
+            above = black.get(parent, (None,))[0]
+            if above is not None:
+                continue
+            if parent.tombstone and parent not in black:
+                found.add("black subtree under a cyan tombstone")
+        gaps[kept] = gaps.get(kept, 0) + 1
+    if not skeleton and edits:
         found.add("empty skeleton")
-        if len(roots) > 1:
+        if sum(gaps.values()) > 1:
             found.add("empty skeleton, several roots")
-    if any(len(rs) > 1 for rs in groups.values()):
+    if any(n > 1 for n in gaps.values()):
         found.add("several black roots in one gap")
-    if skeleton and 0 in groups and len(skeleton) in groups:
+    if skeleton and 0 in gaps and len(skeleton) in gaps:
         found.add("black roots in gap 0 and gap n")
     if skeleton and skeleton[len(skeleton) // 2].tombstone:
         found.add("black tombstone on the root entry")
     if any(len(idents) > 1 for idents in site.applied_deletes.values()):
         found.add("racing deletes")
-    for mini, depth, _, path in site.replica.iter_nodes():
-        if id(mini) not in roots:
-            continue
-        if sum(id(m) in roots for m in path[-1][0]) > 1:
-            found.add("black roots share a major node")
-        if depth:
-            frame = path[-2]
-            parent = frame[0][frame[1]]
-            if parent.tombstone and parent not in black:
-                found.add("black subtree under a cyan tombstone")
+    if any(a[0] == b[0] for a, b in zip(edits, edits[1:])):
+        found.add("several black edits at one index")
     return found
 
 
@@ -292,6 +294,12 @@ CASES = {
     "black tombstone on the root entry": (
         1, _inserts("core", 0, 1, 2) + [("ship", 0), ("edit", 0, True, 1)],
     ),
+    # The nebula inserts right after core atom 1, then deletes that atom:
+    # both edits replay at index 1, the delete first.
+    "several black edits at one index": (
+        1, _inserts("core", 0, 1, 2) + [("ship", 0)] + _inserts(0, 2)
+        + [("edit", 0, True, 1)],
+    ),
 }
 
 
@@ -314,16 +322,16 @@ def test_an_all_cyan_collect_is_live_nodes(n_nebulas, history):
     _, nebulas, _ = run_history(n_nebulas, history)
     for site in nebulas:
         minis, owners = site.replica.live_nodes()
-        skeleton, got_owners, deleted, groups = site._collect_catch_up({})
+        skeleton, got_owners, edits = site._collect_catch_up({})
         assert [id(m) for m in skeleton] == [id(m) for m in minis]
         assert [id(o) for o in got_owners] == [id(o) for o in owners]
-        assert deleted == [] and groups == {}
+        assert edits == []
         # The document-order walk, made to run by a black entry for a node
         # outside the tree, collects the same.
         walked = site._collect_catch_up({MiniNode(b"Z", b"z"): (None, None)})
         assert [id(m) for m in walked[0]] == [id(m) for m in minis]
         assert [id(o) for o in walked[1]] == [id(o) for o in owners]
-        assert walked[2:] == ([], {})
+        assert walked[2] == []
 
 
 def _committed_nebula(seed):
@@ -353,7 +361,7 @@ def test_a_committed_nebula_catches_up_to_the_core_replica(monkeypatch, seed):
     walks = []
     iter_nodes = Treedoc.iter_nodes
     monkeypatch.setattr(Treedoc, "iter_nodes", lambda doc: walks.append(doc) or iter_nodes(doc))
-    assert nebula.catch_up([], ann.new_epoch) == []
+    assert nebula.catch_up() == []
     assert walks == []
     assert nebula.replica.state_digest() == core.replica.state_digest()
     assert nebula.replica.text() == core.replica.text()
@@ -367,7 +375,60 @@ def test_one_black_op_still_takes_the_document_order_walk(monkeypatch):
     walks = []
     iter_nodes = Treedoc.iter_nodes
     monkeypatch.setattr(Treedoc, "iter_nodes", lambda doc: walks.append(doc) or iter_nodes(doc))
-    emitted = nebula.catch_up([], ann.new_epoch)
+    emitted = nebula.catch_up()
     assert len(walks) == 1
     assert [(op.kind, op.atom) for op in emitted] == [(OpKind.INSERT, b"late")]
     assert nebula.replica.text() == "late" + core.replica.text()
+
+
+# -- black edits replayed on a core replica -----------------------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    core_atoms=st.integers(0, 8),
+    core_deletes=st.lists(st.integers(0, 7), max_size=3),
+    edits=st.lists(st.tuples(st.sampled_from("itx"), st.integers(0, 15)), max_size=14),
+)
+def test_black_edits_replay_on_the_core_in_emitted_order(core_atoms, core_deletes, edits):
+    """A nebula interleaves black inserts (``i``), black inserts it deletes
+    at once (``t``) and black tombstones of the core's atoms (``x``); the
+    core's own deletes reach it after that, then the core flattens alone."""
+    core, nebula = Site(b"A", Role.CORE), Site(b"N", Role.NEBULA)
+    for i in range(core_atoms):
+        nebula.deliver(core.submit_local(OpKind.INSERT, position=i, atom=b"a%d" % i))
+    core.outbox.clear()
+    for r in core_deletes:
+        if core.replica.live_count:
+            core.submit_local(OpKind.DELETE, position=r % core.replica.live_count)
+    cyan = {mini.atom for mini in nebula.replica.live_nodes()[0]}
+    for kind, r in edits:
+        live = nebula.replica.live_nodes()[0]
+        if kind == "x":
+            targets = [i for i, mini in enumerate(live) if mini.atom in cyan]
+            if targets:
+                nebula.submit_local(OpKind.DELETE, position=targets[r % len(targets)])
+            continue
+        position = r % (len(live) + 1)
+        nebula.submit_local(OpKind.INSERT, position=position, atom=b"n%d" % nebula.next_seq)
+        if kind == "t":
+            nebula.submit_local(OpKind.DELETE, position=position)
+    nebula.outbox.clear()
+    # The core's deletes arrive last: they may race the nebula's.
+    for op in core.outbox:
+        nebula.deliver(op)
+    core.outbox.clear()
+    ann = initiate_flatten(core, [core]).announcement
+    nebula.receive_decision(ann)
+    text = nebula.replica.text()
+
+    emitted = nebula.catch_up()
+    doc = nebula.replica
+    assert doc.text() == text
+    kept = counts(doc)
+    doc.recompute_counters()
+    assert kept == counts(doc)
+    assert doc.counters_consistent()
+    receiver = copy.deepcopy(core)
+    assert [receiver.deliver(op) for op in emitted] == [DeliverResult.APPLIED] * len(emitted)
+    assert receiver.replica.state_digest() == doc.state_digest()

@@ -13,9 +13,9 @@ from treedoc import (
     TID,
     initiate_flatten,
 )
-from treedoc import bench, protocol
+from treedoc import bench
 from treedoc.protocol import AbortReason, FlattenOutcome
-from treedoc.tid import LEFT, RIGHT, PathElement
+from treedoc.tid import RIGHT, PathElement
 
 from conftest import build_abcdef
 
@@ -86,13 +86,13 @@ def test_catch_up_rejects_a_tampered_announcement():
     nebula, announcement = _nebula_and_announcement()
     nebula.receive_decision(announcement._replace(doc_digest="0" * 64))
     with pytest.raises(InvariantViolation, match="digest"):
-        nebula.catch_up([], 1)
+        nebula.catch_up()
 
 
 def test_catch_up_accepts_the_real_announcement():
     nebula, announcement = _nebula_and_announcement()
     nebula.receive_decision(announcement)
-    assert [op.atom for op in nebula.catch_up([], 1)] == [b"x"]
+    assert [op.atom for op in nebula.catch_up()] == [b"x"]
 
 
 def test_catch_up_rejects_a_tombstone_without_a_recorded_delete():
@@ -119,23 +119,6 @@ def test_commit_flatten_with_a_pending_op():
     assert site.pending
     with pytest.raises(InvariantViolation, match="pending"):
         site._commit_flatten()
-
-
-def test_attach_at_a_taken_slot(monkeypatch):
-    # Catch-up puts a black root back with ``insert``, which would add it
-    # beside a node already at its slot, out of order: it must refuse.
-    core = Site(b"A", Role.CORE)
-    nebula = Site(b"N", Role.NEBULA)
-    for i, atom in enumerate((b"a", b"b", b"c")):
-        nebula.deliver(core.submit_local(OpKind.INSERT, position=i, atom=atom))
-    nebula.submit_local(OpKind.INSERT, position=3, atom=b"x")
-    core.outbox.clear()
-    ann = initiate_flatten(core, [core]).announcement
-    nebula.receive_decision(ann)
-    # Skeleton a, b, c rebuilds as b over a and c: b's left slot holds a.
-    monkeypatch.setattr(protocol, "_gap_slot", lambda skeleton, gap: (1, LEFT))
-    with pytest.raises(InvariantViolation, match="taken"):
-        nebula.catch_up([], ann.new_epoch)
 
 
 def test_bench_rejects_an_aborted_flatten(monkeypatch):

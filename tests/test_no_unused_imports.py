@@ -1,8 +1,12 @@
-"""Every name a module of the package imports is used in that module.
+"""Every name a module of the package imports is used in that module, and
+every private function the package defines is used in the package.
 
-Deleting code tends to leave its imports behind. ``__init__.py`` is
-skipped, since it imports to re-export, and so is ``from __future__``.
-Quoted annotations (``Optional["TID"]``) count as uses of the names in them.
+Deleting code tends to leave its imports and helpers behind. ``__init__.py``
+is skipped for imports, since it imports to re-export, and so is
+``from __future__``. Quoted annotations (``Optional["TID"]``) count as uses
+of the names in them. A private function or method (one leading underscore)
+counts as used when its name appears as a name or an attribute anywhere in
+the package outside its own definition.
 """
 
 import ast
@@ -59,3 +63,37 @@ def test_package_has_no_unused_imports():
             if name not in used
         ]
     assert found == [], f"unused imports: {found}"
+
+
+def _private_defs(tree: ast.AST):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            name = node.name
+            if name.startswith("_") and not name.startswith("__"):
+                yield node
+
+
+def _references(tree: ast.AST):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.lineno, node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.lineno, node.attr
+
+
+def test_package_private_functions_are_all_used():
+    modules = sorted(PACKAGE.rglob("*.py"))
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in modules}
+    refs = {path: list(_references(tree)) for path, tree in trees.items()}
+    found = []
+    for path, tree in trees.items():
+        for node in _private_defs(tree):
+            inside = range(node.lineno, node.end_lineno + 1)
+            used = any(
+                name == node.name and (other is not path or line not in inside)
+                for other, lines in refs.items()
+                for line, name in lines
+            )
+            if not used:
+                found.append(f"{path.relative_to(PACKAGE)}:{node.lineno} {node.name}")
+    assert found == [], f"unused private functions: {found}"

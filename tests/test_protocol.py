@@ -79,6 +79,39 @@ def test_submit_validates_arguments():
         site.submit_local(OpKind.INSERT, position=0)  # no atom
     with pytest.raises(ProtocolError):
         site.submit_local(OpKind.DELETE, position=0, atom=b"x")
+    with pytest.raises(ProtocolError):
+        site.submit_local(OpKind.INSERT, position=0, atom="x")  # text, not bytes
+    assert site.next_seq == 1 and site.replica.live_count == 0 and not site.outbox
+
+
+def test_deliver_rejects_a_malformed_payload_and_changes_nothing():
+    site = Site(b"B", Role.NEBULA)
+    source = Site(b"A", Role.CORE)
+    first = source.submit_local(OpKind.INSERT, position=0, atom=b"a")
+    second = source.submit_local(OpKind.INSERT, position=1, atom=b"b")
+    site.deliver(first)
+    site.deliver(source.submit_local(OpKind.INSERT, position=2, atom=b"c"))  # pending
+    site.deliver(second._replace(epoch=3))  # buffered for a later epoch
+    bad = [
+        second._replace(atom=None),
+        second._replace(atom="b"),
+        second._replace(atom=bytearray(b"b")),
+        first._replace(kind=OpKind.DELETE, origin_seq=9),  # a delete with an atom
+        first._replace(kind="delete", atom=None, origin_seq=9),
+        second._replace(tid=second.tid.encode()),
+        second._replace(tid=None, kind=OpKind.DELETE, atom=None),
+    ]
+    state = (site.replica.state_digest(), dict(site.pending), set(site.epoch_ids),
+             {e: dict(ops) for e, ops in site.epoch_buffers.items()})
+    for op in bad + [op._replace(epoch=2) for op in bad]:
+        with pytest.raises(ProtocolError):
+            site.deliver(op)
+        assert state == (site.replica.state_digest(), dict(site.pending),
+                         set(site.epoch_ids),
+                         {e: dict(ops) for e, ops in site.epoch_buffers.items()})
+    assert site.replica.text() == "a"
+    assert site.deliver(second) is DeliverResult.APPLIED
+    assert site.replica.text() == "abc"
 
 
 # -- causal readiness ----------------------------------------------------------
@@ -362,7 +395,7 @@ def test_all_core_ops_color_cyan_and_emit_nothing():
     _ship(core, nebula)
     outcome = initiate_flatten(core, [core])
     nebula.receive_decision(outcome.announcement)
-    emissions = nebula.catch_up([], 1)
+    emissions = nebula.catch_up()
     assert emissions == []
     assert nebula.replica.state_digest() == core.replica.state_digest()
 
@@ -415,7 +448,7 @@ def test_catch_up_walkthrough_insert_between_and_delete():
     outcome = initiate_flatten(core, [core])
     nebula.receive_decision(outcome.announcement)
 
-    emissions = nebula.catch_up([], 1)
+    emissions = nebula.catch_up()
     kinds = sorted(op.kind.value for op in emissions)
     assert kinds == ["delete", "insert"]
     sent_insert = next(op for op in emissions if op.kind is OpKind.INSERT)
@@ -443,7 +476,7 @@ def test_catch_up_insert_lands_right_after_anchor():
     nebula.submit_local(OpKind.INSERT, position=1, atom=b"x")
     outcome = initiate_flatten(core, [core])
     nebula.receive_decision(outcome.announcement)
-    emissions = nebula.catch_up([], 1)
+    emissions = nebula.catch_up()
     assert len(emissions) == 1
     for op in emissions:
         core.deliver(op)
@@ -458,7 +491,7 @@ def test_catch_up_translates_delete_of_core_atom():
     nebula.submit_local(OpKind.DELETE, position=0)
     outcome = initiate_flatten(core, [core])
     nebula.receive_decision(outcome.announcement)
-    emissions = nebula.catch_up([], 1)
+    emissions = nebula.catch_up()
     assert [op.kind for op in emissions] == [OpKind.DELETE]
     assert core.replica.text() == "c"  # core still has it live
     core.deliver(emissions[0])
@@ -473,9 +506,10 @@ def test_catch_up_requires_all_committed_ops():
     outcome = initiate_flatten(core, [core])
     nebula.receive_decision(outcome.announcement)
     with pytest.raises(ProtocolError):
-        nebula.catch_up([], 1)
-    # handing the missing ops to catch_up directly is enough
-    emissions = nebula.catch_up([stranded], 1)
+        nebula.catch_up()
+    # delivering the missing op first is enough
+    assert nebula.deliver(stranded) is DeliverResult.APPLIED
+    emissions = nebula.catch_up()
     assert emissions == []
     assert nebula.replica.state_digest() == core.replica.state_digest()
 
@@ -493,7 +527,7 @@ def test_catch_up_emits_ops_received_from_other_nebula_sites():
     n2.deliver(foreign)  # nebula-to-nebula exchange, then n1 goes dark
     outcome = initiate_flatten(core, [core])
     n2.receive_decision(outcome.announcement)
-    emissions = n2.catch_up([], 1)
+    emissions = n2.catch_up()
     assert [op.identity for op in emissions] == [foreign.identity]
     for op in emissions:
         core.deliver(op)
@@ -530,11 +564,14 @@ def test_multi_epoch_lag_chains_catch_ups():
 def test_catch_up_checks_epoch_and_announcement():
     from treedoc import EpochMismatch
 
-    _, nebula = _core_and_nebula()
+    core, nebula = _core_and_nebula()
     with pytest.raises(EpochMismatch):
-        nebula.catch_up([], 2)  # nebula is at epoch 0
+        nebula.catch_up()  # no announcement stored
+    ann = initiate_flatten(core, [core]).announcement
+    nebula.receive_decision(ann._replace(new_epoch=2))
     with pytest.raises(EpochMismatch):
-        nebula.catch_up([], 1)  # no announcement stored
+        nebula.catch_up()  # the stored one skips an epoch
+    assert nebula.replica.epoch == 0
 
 
 def test_failed_digest_check_leaves_the_replica_intact():
@@ -548,12 +585,12 @@ def test_failed_digest_check_leaves_the_replica_intact():
     digest, text = nebula.replica.state_digest(), nebula.replica.text()
     nebula.announcements[0] = ann._replace(doc_digest="0" * 64)
     with pytest.raises(InvariantViolation):
-        nebula.catch_up([], 1)
+        nebula.catch_up()
     assert nebula.replica.state_digest() == digest
     assert nebula.replica.text() == text == "bxcd"
     assert nebula.replica.epoch == 0
     nebula.announcements[0] = ann
-    emissions = nebula.catch_up([], 1)
+    emissions = nebula.catch_up()
     for op in emissions:
         core.deliver(op)
     assert core.replica.state_digest() == nebula.replica.state_digest()
@@ -572,7 +609,7 @@ def test_black_subtree_under_cyan_tombstone_reattaches_in_order():
     assert nebula.replica.text() == "apqz"
     outcome = initiate_flatten(core, [core])
     nebula.receive_decision(outcome.announcement)
-    emissions = nebula.catch_up([], 1)
+    emissions = nebula.catch_up()
     assert len(emissions) == 2
     for op in emissions:
         core.deliver(op)
@@ -755,7 +792,7 @@ def test_emitted_tombstoned_black_nodes_round_trip():
     nebula.submit_local(OpKind.DELETE, position=1)
     outcome = initiate_flatten(core, [core])
     nebula.receive_decision(outcome.announcement)
-    emissions = nebula.catch_up([], 1)
+    emissions = nebula.catch_up()
     assert [op.kind for op in emissions] == [OpKind.INSERT, OpKind.DELETE]
     for op in emissions:
         core.deliver(op)

@@ -396,7 +396,7 @@ GOLDEN = {
         # A flatten pushed at this tick, the first in 20..80 at which a
         # nebula of this config emits a catch-up batch.
         35,
-        "b868bf2249ba71885102d048aa7f4c2d6ded52b1ed25629a9a5d1d21c70336db",
+        "026319e1e5c9f326c07cc977ba413443428bd3f3c68c713e2679729e6b7ff876",
         "2b41ae78aa1a0192dd9d98e7db89d7bcefa6d620b296a18e7b4c02f626ba7954",
     ),
 }
